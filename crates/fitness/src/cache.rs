@@ -75,12 +75,30 @@ enum Slot {
     InFlight,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Stripe {
-    slots: Mutex<HashMap<Program, Slot>>,
+    slots: Mutex<Slots>,
     /// Signalled whenever a score is published into — or an in-flight claim
     /// is abandoned from — this stripe.
     published: Condvar,
+}
+
+/// One stripe's entries, plus — on shards of a durable cache — the dirty
+/// list: the scores first published since the durable tier last drained
+/// it. Each key is pushed at most once, when its slot first turns
+/// [`Slot::Done`]; in-memory caches keep no list and pay nothing.
+#[derive(Debug)]
+struct Slots {
+    map: HashMap<Program, Slot>,
+    dirty: Option<Vec<(Program, f64)>>,
+}
+
+impl Slots {
+    fn mark_dirty(&mut self, program: &Program, score: f64) {
+        if let Some(dirty) = &mut self.dirty {
+            dirty.push((program.clone(), score));
+        }
+    }
 }
 
 /// The result of claiming a program for scoring.
@@ -104,8 +122,23 @@ pub struct SpecScores {
 
 impl Default for SpecScores {
     fn default() -> Self {
+        SpecScores::with_dirty_lists(false)
+    }
+}
+
+impl SpecScores {
+    /// An empty shard; with `recording`, its stripes keep dirty lists for
+    /// the durable tier to drain.
+    pub(crate) fn with_dirty_lists(recording: bool) -> Self {
+        let stripe = || Stripe {
+            slots: Mutex::new(Slots {
+                map: HashMap::new(),
+                dirty: recording.then(Vec::new),
+            }),
+            published: Condvar::default(),
+        };
         SpecScores {
-            stripes: (0..STRIPE_COUNT).map(|_| Stripe::default()).collect(),
+            stripes: (0..STRIPE_COUNT).map(|_| stripe()).collect(),
         }
     }
 }
@@ -124,7 +157,10 @@ impl SpecScores {
     /// The cached score of `candidate`, if published.
     #[must_use]
     pub fn get(&self, candidate: &Program) -> Option<f64> {
-        match lock_recovering(&self.stripe(candidate).slots).get(candidate) {
+        match lock_recovering(&self.stripe(candidate).slots)
+            .map
+            .get(candidate)
+        {
             Some(Slot::Done(score)) => Some(*score),
             _ => None,
         }
@@ -136,15 +172,26 @@ impl SpecScores {
     pub fn insert(&self, candidate: Program, score: f64) {
         let stripe = self.stripe(&candidate);
         let mut slots = lock_recovering(&stripe.slots);
-        match slots.get(&candidate) {
-            Some(Slot::Done(_)) => {}
-            Some(Slot::InFlight) => {
-                slots.insert(candidate, Slot::Done(score));
-                stripe.published.notify_all();
-            }
-            None => {
-                slots.insert(candidate, Slot::Done(score));
-            }
+        let in_flight = match slots.map.get(&candidate) {
+            Some(Slot::Done(_)) => return,
+            Some(Slot::InFlight) => true,
+            None => false,
+        };
+        slots.mark_dirty(&candidate, score);
+        slots.map.insert(candidate, Slot::Done(score));
+        if in_flight {
+            stripe.published.notify_all();
+        }
+    }
+
+    /// Caches scores read back from disk: first write wins, and nothing
+    /// goes on the dirty list, so they are never appended again.
+    pub(crate) fn insert_loaded(&self, entries: Vec<(Program, f64)>) {
+        for (program, score) in entries {
+            lock_recovering(&self.stripe(&program).slots)
+                .map
+                .entry(program)
+                .or_insert(Slot::Done(score));
         }
     }
 
@@ -153,7 +200,7 @@ impl SpecScores {
     pub fn get_many(&self, programs: &[Program]) -> Vec<Option<f64>> {
         let mut out = vec![None; programs.len()];
         self.for_each_stripe(Notify::Nobody, programs, |slots, index| {
-            if let Some(Slot::Done(score)) = slots.get(&programs[index]) {
+            if let Some(Slot::Done(score)) = slots.map.get(&programs[index]) {
                 out[index] = Some(*score);
             }
         });
@@ -169,11 +216,11 @@ impl SpecScores {
     pub fn claim_many(&self, programs: &[Program]) -> Vec<Claim> {
         let mut out = vec![Claim::Pending; programs.len()];
         self.for_each_stripe(Notify::Nobody, programs, |slots, index| {
-            out[index] = match slots.get(&programs[index]) {
+            out[index] = match slots.map.get(&programs[index]) {
                 Some(Slot::Done(score)) => Claim::Hit(*score),
                 Some(Slot::InFlight) => Claim::Pending,
                 None => {
-                    slots.insert(programs[index].clone(), Slot::InFlight);
+                    slots.map.insert(programs[index].clone(), Slot::InFlight);
                     Claim::Claimed
                 }
             };
@@ -185,11 +232,11 @@ impl SpecScores {
     #[must_use]
     pub fn claim(&self, program: &Program) -> Claim {
         let mut slots = lock_recovering(&self.stripe(program).slots);
-        match slots.get(program) {
+        match slots.map.get(program) {
             Some(Slot::Done(score)) => Claim::Hit(*score),
             Some(Slot::InFlight) => Claim::Pending,
             None => {
-                slots.insert(program.clone(), Slot::InFlight);
+                slots.map.insert(program.clone(), Slot::InFlight);
                 Claim::Claimed
             }
         }
@@ -221,13 +268,15 @@ impl SpecScores {
             // The common case is flipping this thread's own InFlight claim:
             // update the slot in place (no key clone). First write wins —
             // never replace a published score.
-            if let Some(slot) = slots.get_mut(&programs[index]) {
-                if matches!(slot, Slot::InFlight) {
-                    *slot = Slot::Done(scores[index]);
+            let (program, score) = (&programs[index], scores[index]);
+            match slots.map.get_mut(program) {
+                Some(Slot::Done(_)) => return,
+                Some(slot) => *slot = Slot::Done(score),
+                None => {
+                    slots.map.insert(program.clone(), Slot::Done(score));
                 }
-            } else {
-                slots.insert(programs[index].clone(), Slot::Done(scores[index]));
             }
+            slots.mark_dirty(program, score);
         });
     }
 
@@ -236,8 +285,8 @@ impl SpecScores {
     /// [`ClaimGuard`]). Published entries are left untouched.
     pub fn abandon_many(&self, programs: &[Program]) {
         self.for_each_stripe(Notify::Waiters, programs, |slots, index| {
-            if let Some(Slot::InFlight) = slots.get(&programs[index]) {
-                slots.remove(&programs[index]);
+            if let Some(Slot::InFlight) = slots.map.get(&programs[index]) {
+                slots.map.remove(&programs[index]);
             }
         });
     }
@@ -250,7 +299,7 @@ impl SpecScores {
         let stripe = self.stripe(program);
         let mut slots = lock_recovering(&stripe.slots);
         loop {
-            match slots.get(program) {
+            match slots.map.get(program) {
                 Some(Slot::Done(score)) => return Some(*score),
                 Some(Slot::InFlight) => {
                     slots = wait_recovering(&stripe.published, slots);
@@ -267,6 +316,7 @@ impl SpecScores {
             .iter()
             .map(|stripe| {
                 lock_recovering(&stripe.slots)
+                    .map
                     .values()
                     .filter(|slot| matches!(slot, Slot::Done(_)))
                     .count()
@@ -281,17 +331,35 @@ impl SpecScores {
     }
 
     /// Every published `(program, score)` entry, in a deterministic order
-    /// (sorted by the program's function ids) — the snapshot the durable
-    /// tier flushes. In-flight claims are not included.
-    #[must_use]
-    pub fn export(&self) -> Vec<(Program, f64)> {
+    /// (sorted by the program's function ids) — the full image the durable
+    /// tier compacts to. In-flight claims are not included. Clears the
+    /// dirty lists under the same stripe locks, so every entry lands either
+    /// in this export or in a later [`SpecScores::drain_dirty`], never both.
+    pub(crate) fn export(&self) -> Vec<(Program, f64)> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
-            let slots = lock_recovering(&stripe.slots);
-            for (program, slot) in slots.iter() {
+            let mut slots = lock_recovering(&stripe.slots);
+            if let Some(dirty) = &mut slots.dirty {
+                dirty.clear();
+            }
+            for (program, slot) in slots.map.iter() {
                 if let Slot::Done(score) = slot {
                     out.push((program.clone(), *score));
                 }
+            }
+        }
+        out.sort_by_cached_key(|(program, _)| program.ids());
+        out
+    }
+
+    /// Takes the entries first published since the last drain, in
+    /// [`SpecScores::export`] order — the delta a durable flush appends.
+    /// Always empty on shards that keep no dirty list.
+    pub(crate) fn drain_dirty(&self) -> Vec<(Program, f64)> {
+        let mut out = Vec::new();
+        for stripe in &self.stripes {
+            if let Some(dirty) = &mut lock_recovering(&stripe.slots).dirty {
+                out.append(dirty);
             }
         }
         out.sort_by_cached_key(|(program, _)| program.ids());
@@ -306,7 +374,7 @@ impl SpecScores {
         &self,
         notify: Notify,
         programs: &[Program],
-        mut body: impl FnMut(&mut HashMap<Program, Slot>, usize),
+        mut body: impl FnMut(&mut Slots, usize),
     ) {
         let mut by_stripe: Vec<Vec<usize>> = vec![Vec::new(); STRIPE_COUNT];
         for (index, program) in programs.iter().enumerate() {
@@ -507,6 +575,9 @@ pub struct FitnessCache {
     /// The durable tier, present only on caches opened with
     /// [`FitnessCache::durable`]. Plain in-memory caches pay nothing.
     store: OnceLock<Arc<DurableStore>>,
+    /// Whether new shards keep dirty lists for the durable tier to drain
+    /// (set on durable caches only).
+    recording: bool,
 }
 
 impl FitnessCache {
@@ -542,7 +613,8 @@ impl FitnessCache {
         dir: impl AsRef<Path>,
         options: DurableOptions,
     ) -> std::io::Result<FitnessCache> {
-        let cache = FitnessCache::new();
+        let mut cache = FitnessCache::new();
+        cache.recording = true;
         let store = DurableStore::open(dir.as_ref(), options, &cache)?;
         let _ = cache.store.set(store);
         Ok(cache)
@@ -561,8 +633,8 @@ impl FitnessCache {
         self.store.get().map(|store| store.report())
     }
 
-    /// Synchronously flush every not-yet-persisted entry to disk
-    /// (append + fsync). Returns what was appended; `None` for in-memory
+    /// Synchronously flush every entry published since the last flush to
+    /// disk (append + fsync). Returns what was appended; `None` for in-memory
     /// caches. I/O failure degrades the store to memory-only with a
     /// warning — it never panics and never corrupts the log.
     pub fn flush(&self) -> Option<FlushStats> {
@@ -643,7 +715,7 @@ impl FitnessCache {
         if let Some(shard) = shards.get(fitness_key).and_then(|specs| specs.get(spec)) {
             return Arc::clone(shard);
         }
-        let shard = Arc::new(SpecScores::default());
+        let shard = Arc::new(SpecScores::with_dirty_lists(self.recording));
         shards
             .entry(fitness_key.to_string())
             .or_default()
@@ -673,7 +745,7 @@ impl FitnessCache {
         if let Some(shard) = traces.get(fitness_key) {
             return Arc::clone(shard);
         }
-        let shard = Arc::new(TraceEncodingCache::new());
+        let shard = Arc::new(TraceEncodingCache::with_dirty_lists(self.recording));
         traces.insert(fitness_key.to_string(), Arc::clone(&shard));
         shard
     }
@@ -803,6 +875,61 @@ mod tests {
         );
         shard.insert(Program::new(vec![Function::Sum]), 1.5);
         assert_eq!(shard.len(), 2);
+    }
+
+    #[test]
+    fn in_memory_shards_keep_no_dirty_entries() {
+        let cache = FitnessCache::new();
+        let shard = cache.shard("nn-CF", &spec(1));
+        let traces = cache.trace_shard("nn-CF");
+        for (i, &f) in Function::ALL.iter().enumerate() {
+            for &g in &Function::ALL[..8] {
+                shard.insert(Program::new(vec![f, g]), i as f64);
+            }
+            let claimed = vec![Program::new(vec![f, f, f])];
+            assert_eq!(shard.claim_many(&claimed), vec![Claim::Claimed]);
+            shard.publish_many(&claimed, &[0.5]);
+            let tokens = [i, i + 1];
+            let _ = traces.publish_many(vec![(&tokens[..], vec![i as f32].into())]);
+        }
+        assert!(shard.len() > 100 && traces.len() == Function::ALL.len());
+        for stripe in &shard.stripes {
+            assert!(lock_recovering(&stripe.slots).dirty.is_none());
+        }
+        assert!(shard.drain_dirty().is_empty());
+        assert!(traces.drain_dirty().is_empty());
+    }
+
+    #[test]
+    fn durable_shards_queue_each_first_publish_once() {
+        let scores = SpecScores::with_dirty_lists(true);
+        let programs: Vec<Program> = Function::ALL[..6]
+            .iter()
+            .map(|&f| Program::new(vec![f]))
+            .collect();
+        scores.insert_loaded(vec![(programs[0].clone(), 9.0)]);
+        scores.insert(programs[0].clone(), 1.0);
+        scores.insert(programs[1].clone(), 1.0);
+        scores.insert(programs[1].clone(), 2.0);
+        let _ = scores.claim_many(&programs[2..]);
+        scores.abandon_many(&programs[5..]);
+        scores.publish_many(&programs[2..5], &[3.0, 4.0, 5.0]);
+        scores.publish_many(&programs[1..3], &[6.0, 7.0]);
+        let mut want: Vec<(Program, f64)> = vec![
+            (programs[1].clone(), 1.0),
+            (programs[2].clone(), 3.0),
+            (programs[3].clone(), 4.0),
+            (programs[4].clone(), 5.0),
+        ];
+        want.sort_by_cached_key(|(program, _)| program.ids());
+        assert_eq!(scores.drain_dirty(), want);
+        assert!(scores.drain_dirty().is_empty(), "a drain empties the lists");
+        scores.insert(programs[5].clone(), 8.0);
+        assert_eq!(scores.export().len(), 6);
+        assert!(
+            scores.drain_dirty().is_empty(),
+            "an export clears the lists"
+        );
     }
 
     #[test]

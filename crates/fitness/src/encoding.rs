@@ -33,6 +33,7 @@ use crate::sync::Mutex;
 use netsyn_dsl::{DomainId, IoExample, IoSpec, Program, TraceArena, Value};
 use netsyn_nn::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -429,7 +430,7 @@ impl Deserialize for SpecEncodingCache {
 /// encoders waste at most one redundant forward, they never disagree.
 #[derive(Debug)]
 pub struct TraceEncodingCache {
-    stripes: Vec<Mutex<TraceSlots>>,
+    stripes: Vec<Mutex<TraceStripe>>,
     encodes: AtomicUsize,
 }
 
@@ -438,17 +439,18 @@ pub struct TraceEncodingCache {
 const TRACE_STRIPES: usize = 16;
 
 /// One stripe's storage: trace-value token sequence → step-encoder final
-/// hidden state (shared zero-copy with every batch that reads it).
-pub(crate) type TraceSlots = FxHashMap<Box<[usize]>, Arc<[f32]>>;
+/// hidden state (shared zero-copy with every batch that reads it), plus —
+/// on shards of a durable cache — the dirty list of entries first published
+/// since the durable tier last drained it.
+#[derive(Debug)]
+struct TraceStripe {
+    slots: FxHashMap<Box<[usize]>, Arc<[f32]>>,
+    dirty: Option<Vec<TraceEntry>>,
+}
 
 impl Default for TraceEncodingCache {
     fn default() -> Self {
-        TraceEncodingCache {
-            stripes: (0..TRACE_STRIPES)
-                .map(|_| Mutex::new(TraceSlots::default()))
-                .collect(),
-            encodes: AtomicUsize::new(0),
-        }
+        TraceEncodingCache::with_dirty_lists(false)
     }
 }
 
@@ -457,6 +459,22 @@ impl TraceEncodingCache {
     #[must_use]
     pub fn new() -> Self {
         TraceEncodingCache::default()
+    }
+
+    /// An empty cache; with `recording`, its stripes keep dirty lists for
+    /// the durable tier to drain.
+    pub(crate) fn with_dirty_lists(recording: bool) -> Self {
+        TraceEncodingCache {
+            stripes: (0..TRACE_STRIPES)
+                .map(|_| {
+                    Mutex::new(TraceStripe {
+                        slots: FxHashMap::default(),
+                        dirty: recording.then(Vec::new),
+                    })
+                })
+                .collect(),
+            encodes: AtomicUsize::new(0),
+        }
     }
 
     fn stripe_of(tokens: &[usize]) -> usize {
@@ -471,7 +489,7 @@ impl TraceEncodingCache {
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|stripe| lock_recovering(stripe).len())
+            .map(|stripe| lock_recovering(stripe).slots.len())
             .sum()
     }
 
@@ -504,9 +522,9 @@ impl TraceEncodingCache {
             if indices.is_empty() {
                 continue;
             }
-            let slots = lock_recovering(stripe);
+            let stripe = lock_recovering(stripe);
             for index in indices {
-                out[index] = slots.get(keys[index]).map(Arc::clone);
+                out[index] = stripe.slots.get(keys[index]).map(Arc::clone);
             }
         }
         out
@@ -529,18 +547,38 @@ impl TraceEncodingCache {
             if indices.is_empty() {
                 continue;
             }
-            let mut slots = lock_recovering(stripe);
+            let mut stripe = lock_recovering(stripe);
+            let TraceStripe { slots, dirty } = &mut *stripe;
             for index in indices {
                 let (key, hidden) = &entries[index];
-                let canonical = slots
-                    .entry((*key).into())
-                    .or_insert_with(|| Arc::clone(hidden));
-                out[index] = Some(Arc::clone(canonical));
+                let canonical = match slots.entry((*key).into()) {
+                    Entry::Occupied(slot) => Arc::clone(slot.get()),
+                    Entry::Vacant(slot) => {
+                        if let Some(dirty) = dirty.as_mut() {
+                            dirty.push((slot.key().clone(), Arc::clone(hidden)));
+                        }
+                        Arc::clone(slot.insert(Arc::clone(hidden)))
+                    }
+                };
+                out[index] = Some(canonical);
             }
         }
         out.into_iter()
             .map(|slot| slot.expect("every entry published"))
             .collect()
+    }
+
+    /// Caches entries read back from disk: first write wins, nothing goes
+    /// on the dirty list (they are never appended again), and the encode
+    /// counter is not bumped (loaded entries are hits, not misses).
+    pub(crate) fn insert_loaded(&self, entries: Vec<TraceEntry>) {
+        for (tokens, hidden) in entries {
+            let stripe = &self.stripes[Self::stripe_of(&tokens)];
+            lock_recovering(stripe)
+                .slots
+                .entry(tokens)
+                .or_insert(hidden);
+        }
     }
 
     /// Records `n` step-encoder runs (cache misses).
@@ -555,16 +593,37 @@ pub(crate) type TraceEntry = (Box<[usize]>, Arc<[f32]>);
 
 impl TraceEncodingCache {
     /// Every cached `(tokens, hidden state)` entry, in a deterministic
-    /// order — the snapshot the durable tier flushes.
+    /// order — the full image the durable tier compacts to. Clears the
+    /// dirty lists under the same stripe locks, so every entry lands either
+    /// in this export or in a later [`TraceEncodingCache::drain_dirty`],
+    /// never both.
     pub(crate) fn export(&self) -> Vec<TraceEntry> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
-            let slots = lock_recovering(stripe);
+            let mut stripe = lock_recovering(stripe);
+            if let Some(dirty) = &mut stripe.dirty {
+                dirty.clear();
+            }
             out.extend(
-                slots
+                stripe
+                    .slots
                     .iter()
                     .map(|(tokens, hidden)| (tokens.clone(), Arc::clone(hidden))),
             );
+        }
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    /// Takes the entries first published since the last drain, in
+    /// [`TraceEncodingCache::export`] order — the delta a durable flush
+    /// appends. Always empty on caches that keep no dirty list.
+    pub(crate) fn drain_dirty(&self) -> Vec<TraceEntry> {
+        let mut out = Vec::new();
+        for stripe in &self.stripes {
+            if let Some(dirty) = &mut lock_recovering(stripe).dirty {
+                out.append(dirty);
+            }
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out

@@ -43,10 +43,18 @@
 //!   the process: the in-memory cache keeps working, later flushes are
 //!   skipped with a warning (degrade to memory-only, never panic).
 //!
-//! Flushing appends only entries not yet persisted (first-write-wins on
-//! disk, mirroring the in-memory rule), syncs with `fdatasync`, and can
-//! run asynchronously on a background thread — at most one in flight,
-//! joined before the owning cache drops.
+//! ## Flushing appends only the delta
+//!
+//! Every shard of a durable cache keeps per-stripe *dirty lists*: a publish
+//! that first fills a slot pushes the entry, and entries loaded from disk
+//! are never queued. A flush drains the lists and appends one record per
+//! shard with new entries, so it costs O(entries published since the last
+//! flush), not O(cache size), and each entry reaches disk once
+//! (first-write-wins on disk, mirroring the in-memory rule). Flushes sync
+//! with `fdatasync` and can run asynchronously on a background thread — at
+//! most one in flight, joined before the owning cache drops. A broken store
+//! discards what it drains; [`FitnessCache::compact`] rewrites the full
+//! image, which also clears the lists, and recovers the store.
 
 use crate::cache::{FitnessCache, SpecScores};
 use crate::encoding::{TraceEncodingCache, TraceEntry};
@@ -57,11 +65,10 @@ use netsyn_persist::{
     decode_log, dir as persist_dir, ByteReader, ByteWriter, FaultPlan, FaultyFile, FileStorage,
     LogError, LogWriter,
 };
-use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 
 /// File name of the score log inside a cache directory.
 pub const SCORES_FILE: &str = "scores.nsl";
@@ -81,8 +88,19 @@ const CODEC_VERSION: u32 = 2;
 
 /// Environment variable selecting the cache directory (opt-in durability).
 pub const CACHE_DIR_ENV: &str = "NETSYN_CACHE_DIR";
-/// Environment variable overriding the periodic flush interval.
+/// Environment variable overriding the periodic flush interval. The value
+/// must be a positive integer; anything else (including `0`) falls back to
+/// the default of 16 ticks, with a one-time warning on stderr.
 pub const FLUSH_EVERY_ENV: &str = "NETSYN_CACHE_FLUSH_EVERY";
+
+/// Flush interval used when [`FLUSH_EVERY_ENV`] is unset or unusable.
+const DEFAULT_FLUSH_EVERY: usize = 16;
+
+/// The flush interval a [`FLUSH_EVERY_ENV`] value selects, or `None` when
+/// the value is not a positive integer.
+fn parse_flush_every(raw: &str) -> Option<usize> {
+    raw.parse::<usize>().ok().filter(|&n| n > 0)
+}
 
 /// How a durable cache is opened.
 #[derive(Debug, Clone, Copy)]
@@ -101,11 +119,20 @@ pub struct DurableOptions {
 
 impl Default for DurableOptions {
     fn default() -> Self {
-        let flush_every = std::env::var(FLUSH_EVERY_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(16);
+        let flush_every = match std::env::var_os(FLUSH_EVERY_ENV) {
+            None => DEFAULT_FLUSH_EVERY,
+            Some(raw) => raw.to_str().and_then(parse_flush_every).unwrap_or_else(|| {
+                static WARNED: Once = Once::new();
+                WARNED.call_once(|| {
+                    warn(&format!(
+                        "{FLUSH_EVERY_ENV}={:?} is not a positive integer; \
+                         flushing every {DEFAULT_FLUSH_EVERY} ticks",
+                        raw.to_string_lossy()
+                    ));
+                });
+                DEFAULT_FLUSH_EVERY
+            }),
+        };
         DurableOptions {
             flush_every,
             fault: None,
@@ -149,9 +176,6 @@ pub(crate) type TraceSnapshot = Vec<(String, Arc<TraceEncodingCache>)>;
 struct StoreInner {
     scores_writer: Option<LogWriter>,
     traces_writer: Option<LogWriter>,
-    /// Entries already on disk, so flushes append only the delta.
-    persisted_scores: HashMap<(String, IoSpec), HashSet<Program>>,
-    persisted_traces: HashMap<String, HashSet<Box<[usize]>>>,
 }
 
 /// The persistence engine behind a durable [`FitnessCache`] (see the
@@ -181,7 +205,6 @@ impl DurableStore {
     ) -> io::Result<Arc<DurableStore>> {
         std::fs::create_dir_all(dir)?;
         let mut report = LoadReport::default();
-        let mut inner = StoreInner::default();
 
         for record in load_log_file(
             &dir.join(SCORES_FILE),
@@ -191,13 +214,8 @@ impl DurableStore {
         ) {
             match decode_scores_record(&record) {
                 Ok((key, spec, entries)) => {
-                    let shard = cache.shard(&key, &spec);
-                    let persisted = inner.persisted_scores.entry((key, spec)).or_default();
-                    for (program, score) in entries {
-                        shard.insert(program.clone(), score);
-                        persisted.insert(program);
-                        report.score_entries += 1;
-                    }
+                    report.score_entries += entries.len();
+                    cache.shard(&key, &spec).insert_loaded(entries);
                 }
                 Err(reason) => {
                     report.skipped_records += 1;
@@ -217,21 +235,8 @@ impl DurableStore {
         ) {
             match decode_traces_record(&record) {
                 Ok((key, entries)) => {
-                    let shard = cache.trace_shard(&key);
-                    let persisted = inner.persisted_traces.entry(key).or_default();
                     report.trace_entries += entries.len();
-                    let mut keys: Vec<Box<[usize]>> = Vec::with_capacity(entries.len());
-                    let published: Vec<(&[usize], Arc<[f32]>)> = entries
-                        .iter()
-                        .map(|(tokens, hidden)| (&tokens[..], Arc::clone(hidden)))
-                        .collect();
-                    // publish_many is first-write-wins and does not bump the
-                    // encode counter: loaded entries are hits, not misses.
-                    let _ = shard.publish_many(published);
-                    for (tokens, _) in entries {
-                        keys.push(tokens);
-                    }
-                    persisted.extend(keys);
+                    cache.trace_shard(&key).insert_loaded(entries);
                 }
                 Err(reason) => {
                     report.skipped_records += 1;
@@ -250,7 +255,7 @@ impl DurableStore {
             domain: options.domain,
             tick: AtomicUsize::new(0),
             broken: AtomicBool::new(false),
-            inner: Mutex::new(inner),
+            inner: Mutex::new(StoreInner::default()),
             flusher: Mutex::new(None),
             report,
         }))
@@ -269,7 +274,7 @@ impl DurableStore {
         (self.tick.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(self.flush_every)
     }
 
-    /// Append every not-yet-persisted entry of the snapshots, then sync.
+    /// Drain the snapshots' dirty lists and append the entries, then sync.
     pub(crate) fn flush_snapshots(
         &self,
         scores: &ScoreSnapshot,
@@ -277,6 +282,14 @@ impl DurableStore {
     ) -> FlushStats {
         let mut stats = FlushStats::default();
         if self.broken.load(Ordering::Relaxed) {
+            // Memory-only until a compaction succeeds: drop the delta rather
+            // than let the dirty lists grow without bound.
+            for (_, _, shard) in scores {
+                drop(shard.drain_dirty());
+            }
+            for (_, shard) in traces {
+                drop(shard.drain_dirty());
+            }
             return stats;
         }
         let mut inner = lock_recovering(&self.inner);
@@ -304,15 +317,7 @@ impl DurableStore {
     ) -> io::Result<()> {
         let mut scores_dirty = false;
         for (key, spec, shard) in scores {
-            let exported = shard.export();
-            let persisted = inner
-                .persisted_scores
-                .entry((key.clone(), spec.clone()))
-                .or_default();
-            let fresh: Vec<(Program, f64)> = exported
-                .into_iter()
-                .filter(|(program, _)| !persisted.contains(program))
-                .collect();
+            let fresh = shard.drain_dirty();
             if fresh.is_empty() {
                 continue;
             }
@@ -327,7 +332,6 @@ impl DurableStore {
             writer.append(&record)?;
             scores_dirty = true;
             stats.score_entries += fresh.len();
-            persisted.extend(fresh.into_iter().map(|(program, _)| program));
         }
         if scores_dirty {
             if let Some(writer) = inner.scores_writer.as_mut() {
@@ -337,12 +341,7 @@ impl DurableStore {
 
         let mut traces_dirty = false;
         for (key, shard) in traces {
-            let exported = shard.export();
-            let persisted = inner.persisted_traces.entry(key.clone()).or_default();
-            let fresh: Vec<TraceEntry> = exported
-                .into_iter()
-                .filter(|(tokens, _)| !persisted.contains(tokens))
-                .collect();
+            let fresh = shard.drain_dirty();
             if fresh.is_empty() {
                 continue;
             }
@@ -357,7 +356,6 @@ impl DurableStore {
             writer.append(&record)?;
             traces_dirty = true;
             stats.trace_entries += fresh.len();
-            persisted.extend(fresh.into_iter().map(|(tokens, _)| tokens));
         }
         if traces_dirty {
             if let Some(writer) = inner.traces_writer.as_mut() {
@@ -396,16 +394,22 @@ impl DurableStore {
     }
 
     /// Rewrite both logs from the full snapshots (atomic replace), resetting
-    /// the append state. Clears the broken flag on success — compaction is
-    /// the recovery path after, say, a transiently full disk.
+    /// the append state and the dirty lists. Clears the broken flag on
+    /// success — compaction is the recovery path after, say, a transiently
+    /// full disk. A failure marks the store broken: the exports already
+    /// cleared dirty lists, so appending could no longer catch up.
     pub(crate) fn compact(&self, scores: &ScoreSnapshot, traces: &TraceSnapshot) -> io::Result<()> {
         let mut inner = lock_recovering(&self.inner);
         inner.scores_writer = None;
         inner.traces_writer = None;
+        let result = self.rewrite_logs(scores, traces);
+        self.broken.store(result.is_err(), Ordering::Relaxed);
+        result
+    }
 
+    fn rewrite_logs(&self, scores: &ScoreSnapshot, traces: &TraceSnapshot) -> io::Result<()> {
         let mut scores_bytes =
             netsyn_persist::log::encode_header(&encode_app_header(SCORES_KIND, self.domain));
-        let mut persisted_scores: HashMap<(String, IoSpec), HashSet<Program>> = HashMap::new();
         for (key, spec, shard) in scores {
             let exported = shard.export();
             if exported.is_empty() {
@@ -413,16 +417,11 @@ impl DurableStore {
             }
             let record = encode_scores_record(key, spec, &exported);
             scores_bytes.extend_from_slice(&netsyn_persist::log::encode_record(&record));
-            persisted_scores
-                .entry((key.clone(), spec.clone()))
-                .or_default()
-                .extend(exported.into_iter().map(|(program, _)| program));
         }
         persist_dir::atomic_replace(&self.dir.join(SCORES_FILE), &scores_bytes)?;
 
         let mut traces_bytes =
             netsyn_persist::log::encode_header(&encode_app_header(TRACES_KIND, self.domain));
-        let mut persisted_traces: HashMap<String, HashSet<Box<[usize]>>> = HashMap::new();
         for (key, shard) in traces {
             let exported = shard.export();
             if exported.is_empty() {
@@ -430,17 +429,8 @@ impl DurableStore {
             }
             let record = encode_traces_record(key, &exported);
             traces_bytes.extend_from_slice(&netsyn_persist::log::encode_record(&record));
-            persisted_traces
-                .entry(key.clone())
-                .or_default()
-                .extend(exported.into_iter().map(|(tokens, _)| tokens));
         }
-        persist_dir::atomic_replace(&self.dir.join(TRACES_FILE), &traces_bytes)?;
-
-        inner.persisted_scores = persisted_scores;
-        inner.persisted_traces = persisted_traces;
-        self.broken.store(false, Ordering::Relaxed);
-        Ok(())
+        persist_dir::atomic_replace(&self.dir.join(TRACES_FILE), &traces_bytes)
     }
 }
 
@@ -837,6 +827,15 @@ mod tests {
         bad.put_bytes(&[0]);
         bad.put_f64_bits(1.0);
         assert!(decode_scores_record(&bad.into_bytes()).is_err());
+    }
+
+    #[test]
+    fn flush_interval_parse_accepts_only_positive_integers() {
+        assert_eq!(parse_flush_every("1"), Some(1));
+        assert_eq!(parse_flush_every("64"), Some(64));
+        for bad in ["0", "", "-3", "16x", " 8", "1.5", "many"] {
+            assert_eq!(parse_flush_every(bad), None, "{bad:?} must be rejected");
+        }
     }
 
     #[test]

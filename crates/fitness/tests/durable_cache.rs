@@ -17,7 +17,7 @@ use netsyn_fitness::dataset::{generate_dataset, BalanceMetric, DatasetConfig};
 use netsyn_fitness::persist::{SCORES_FILE, TRACES_FILE};
 use netsyn_fitness::trainer::{train_fitness_model, FitnessModelKind, TrainerConfig};
 use netsyn_fitness::{
-    DurableOptions, FitnessCache, FitnessFunction, FitnessNetConfig, LearnedFitness,
+    DurableOptions, FitnessCache, FitnessFunction, FitnessNetConfig, FlushStats, LearnedFitness,
 };
 use netsyn_persist::{crc32, FaultPlan, MAGIC};
 use rand::SeedableRng;
@@ -198,8 +198,8 @@ fn bit_flip_mid_log_never_yields_a_wrong_score() {
         let cache = FitnessCache::durable(&dir).expect("reopen survives any flip");
         assert_scores_intact(&cache, 8, cache.shard(KEY, &spec()).len());
         drop(cache);
-        // Drop may have re-flushed (already-persisted set covers everything,
-        // so it appends nothing) — restore the damaged state's baseline.
+        // Drop flushes, but loaded entries are never queued for appending,
+        // so it writes nothing — restore the damaged state's baseline anyway.
         std::fs::write(&path, &original).expect("restore log");
     }
 }
@@ -432,7 +432,170 @@ fn concurrent_scoring_and_periodic_flushes_lose_nothing() {
     let reopened = FitnessCache::durable(&dir).expect("reopen");
     let report = reopened.load_report().expect("report");
     assert!(report.damage.is_empty(), "concurrent flushes never corrupt");
+    assert_eq!(
+        report.score_entries, n,
+        "every score reaches disk exactly once, however flushes interleave"
+    );
     assert_scores_intact(&reopened, n, n);
+}
+
+/// A synthetic trace-encoding entry: distinct token sequences map to
+/// distinct hidden states with awkward bit patterns.
+fn trace_entry(i: usize) -> (Vec<usize>, Vec<f32>) {
+    (
+        vec![i, i * 7 + 1, 3],
+        vec![i as f32 + 0.25, -0.0, f32::MIN_POSITIVE / 2.0],
+    )
+}
+
+fn publish_traces(cache: &FitnessCache, range: std::ops::Range<usize>) {
+    let entries: Vec<(Vec<usize>, Vec<f32>)> = range.map(trace_entry).collect();
+    let _ = cache.trace_shard(KEY).publish_many(
+        entries
+            .iter()
+            .map(|(tokens, hidden)| (&tokens[..], hidden.as_slice().into()))
+            .collect(),
+    );
+}
+
+/// Asserts the cache serves exactly the trace entries `0..n`, bit-identically.
+fn assert_traces_intact(cache: &FitnessCache, n: usize) {
+    let shard = cache.trace_shard(KEY);
+    assert_eq!(shard.len(), n);
+    let entries: Vec<(Vec<usize>, Vec<f32>)> = (0..n).map(trace_entry).collect();
+    let keys: Vec<&[usize]> = entries.iter().map(|(tokens, _)| &tokens[..]).collect();
+    for (got, (_, hidden)) in shard.get_many(&keys).iter().zip(&entries) {
+        let got = got.as_ref().expect("every persisted encoding is served");
+        let got_bits: Vec<u32> = got.iter().map(|h| h.to_bits()).collect();
+        let want_bits: Vec<u32> = hidden.iter().map(|h| h.to_bits()).collect();
+        assert_eq!(got_bits, want_bits, "encodings round-trip bit-exactly");
+    }
+}
+
+#[test]
+fn concurrent_trace_publishes_and_periodic_flushes_persist_each_entry_once() {
+    let dir = scratch("concurrent_traces");
+    let n = 96;
+    {
+        let cache = FitnessCache::durable_with(
+            &dir,
+            DurableOptions {
+                flush_every: 2,
+                fault: None,
+                ..DurableOptions::default()
+            },
+        )
+        .expect("open");
+        std::thread::scope(|scope| {
+            // Two publishers over overlapping key ranges: every key in the
+            // overlap is raced, and first-write-wins keeps one entry.
+            let cache = &cache;
+            let low = scope.spawn(move || {
+                for start in (0..2 * n / 3).step_by(8) {
+                    publish_traces(cache, start..(start + 8).min(2 * n / 3));
+                }
+            });
+            let high = scope.spawn(move || {
+                for start in (n / 3..n).step_by(8).rev() {
+                    publish_traces(cache, start..(start + 8).min(n));
+                }
+            });
+            for _ in 0..32 {
+                cache.maybe_periodic_flush();
+                std::thread::yield_now();
+            }
+            low.join().expect("low publisher");
+            high.join().expect("high publisher");
+        });
+        cache.flush().expect("flush");
+    }
+
+    let reopened = FitnessCache::durable(&dir).expect("reopen");
+    let report = reopened.load_report().expect("report");
+    assert!(report.damage.is_empty(), "concurrent flushes never corrupt");
+    assert_eq!(
+        report.trace_entries, n,
+        "every encoding reaches disk exactly once, however flushes interleave"
+    );
+    assert_traces_intact(&reopened, n);
+}
+
+#[test]
+fn trace_flush_appends_only_the_delta() {
+    let dir = scratch("trace_delta");
+    let cache = FitnessCache::durable(&dir).expect("open");
+    publish_traces(&cache, 0..4);
+    assert_eq!(cache.flush().expect("flush").trace_entries, 4);
+    // A second flush with nothing new appends nothing.
+    assert_eq!(cache.flush().expect("flush").trace_entries, 0);
+    // Re-publishing known keys is first-write-wins: nothing new to append.
+    publish_traces(&cache, 2..6);
+    assert_eq!(cache.flush().expect("flush").trace_entries, 2);
+    drop(cache);
+
+    let reopened = FitnessCache::durable(&dir).expect("reopen");
+    assert_eq!(reopened.load_report().expect("report").trace_entries, 6);
+    assert_traces_intact(&reopened, 6);
+}
+
+fn log_lengths(dir: &Path) -> (u64, u64) {
+    let len = |name| std::fs::metadata(dir.join(name)).expect("log exists").len();
+    (len(SCORES_FILE), len(TRACES_FILE))
+}
+
+#[test]
+fn warm_reopen_flushes_nothing() {
+    let dir = scratch("warm_reopen");
+    {
+        let cache = FitnessCache::durable(&dir).expect("open");
+        let memo = cache.shard(KEY, &spec());
+        for (i, p) in programs(8).into_iter().enumerate() {
+            memo.insert(p, score_for(i));
+        }
+        publish_traces(&cache, 0..5);
+        let stats = cache.flush().expect("flush");
+        assert_eq!((stats.score_entries, stats.trace_entries), (8, 5));
+    }
+    let before = log_lengths(&dir);
+
+    let cache = FitnessCache::durable(&dir).expect("reopen");
+    let report = cache.load_report().expect("report");
+    assert_eq!((report.score_entries, report.trace_entries), (8, 5));
+    // Serving (and re-publishing) loaded entries queues nothing.
+    let memo = cache.shard(KEY, &spec());
+    for (i, p) in programs(8).into_iter().enumerate() {
+        memo.insert(p, score_for(i));
+    }
+    publish_traces(&cache, 0..5);
+    assert_eq!(cache.flush().expect("flush"), FlushStats::default());
+    assert_eq!(log_lengths(&dir), before, "a warm flush writes no bytes");
+    drop(cache);
+    assert_eq!(log_lengths(&dir), before, "nor does the flush on drop");
+}
+
+#[test]
+fn flush_after_compaction_appends_nothing() {
+    let dir = scratch("compact_then_flush");
+    let cache = FitnessCache::durable(&dir).expect("open");
+    let memo = cache.shard(KEY, &spec());
+    for (i, p) in programs(6).into_iter().enumerate() {
+        memo.insert(p, score_for(i));
+    }
+    publish_traces(&cache, 0..3);
+    // Compaction writes the full image and clears the dirty lists, so the
+    // unflushed entries are not appended a second time.
+    cache.compact().expect("durable").expect("compact");
+    assert_eq!(cache.flush().expect("flush"), FlushStats::default());
+    // Entries published after the compaction are appended as usual.
+    memo.insert(programs(7).remove(6), score_for(6));
+    assert_eq!(cache.flush().expect("flush").score_entries, 1);
+    drop(cache);
+
+    let reopened = FitnessCache::durable(&dir).expect("reopen");
+    let report = reopened.load_report().expect("report");
+    assert_eq!((report.score_entries, report.trace_entries), (7, 3));
+    assert_scores_intact(&reopened, 7, 7);
+    assert_traces_intact(&reopened, 3);
 }
 
 /// A tiny trained model, enough to drive real trace encodings through the
