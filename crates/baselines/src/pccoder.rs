@@ -73,7 +73,7 @@ impl<G: GuidanceModel> Synthesizer for PcCoder<G> {
                 max_width: self.max_beam_width,
             },
         );
-        match search.run(budget, None) {
+        match search.run(budget) {
             Some(solution) => SynthesisResult::found(solution, search.evaluated()),
             None => SynthesisResult::not_found(search.evaluated()),
         }

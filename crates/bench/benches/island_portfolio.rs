@@ -4,11 +4,14 @@
 //! pre-refactor `ga_engine/oracle_synthesis_len3` record (same workload,
 //! same seeds): a single island drives the caller's RNG and budget directly,
 //! so the refactor must cost nothing there. `k2`/`k4` measure the sharded
-//! driver on this host (on a 1-vCPU container islands time-slice one core;
-//! re-record with `NETSYN_POOL_THREADS=K` on a multi-core host to see the
-//! wall-clock win). `portfolio_race_len3` runs the full three-strategy race
-//! (GA islands, DFS neighborhood, guided beam) with first-solution
-//! cancellation on the same problem.
+//! driver (islands evolve on separate pool workers between migration
+//! points; with fewer cores than islands they time-slice).
+//! `portfolio_race_len3` runs the full three-strategy race (GA islands, DFS
+//! neighborhood, guided beam) on the same problem in lockstep rounds: each
+//! round steps every live strategy once, one pool task each, and the race
+//! ends in the first round a strategy solves. Its outcome is the same at
+//! every pool size, so only the time differs between
+//! `NETSYN_POOL_THREADS=1` and `=2`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use netsyn_core::prelude::{SynthesisProblem, Synthesizer};
@@ -49,7 +52,8 @@ fn bench_islands(c: &mut Criterion) {
     }
 
     // The full heterogeneous race on the same problem: GA islands, a DFS
-    // neighborhood walk and a guided beam under one shared budget.
+    // neighborhood walk and a guided beam in lockstep rounds over one
+    // budget.
     group.bench_function("portfolio_race_len3", |b| {
         let (target, spec) = sample_spec(3, 12);
         let config = NetSynConfig::small(FitnessChoice::OracleCommonFunctions, 3);

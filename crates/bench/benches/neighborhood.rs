@@ -39,7 +39,6 @@ fn bench_neighborhood(c: &mut Criterion) {
                     &SpecScores::default(),
                     &TraceEncodingCache::new(),
                     None,
-                    None,
                 ))
             });
         });

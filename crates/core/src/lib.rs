@@ -57,7 +57,6 @@ mod models;
 pub mod portfolio;
 pub mod report;
 mod suite;
-pub(crate) mod sync_select;
 mod synthesizer;
 
 pub use config::{FitnessChoice, NetSynConfig};

@@ -1,17 +1,18 @@
-//! The portfolio orchestrator: heterogeneous search strategies racing under
-//! one shared budget with first-solution cancellation.
+//! The portfolio orchestrator: heterogeneous search strategies racing in
+//! lockstep rounds over one budget.
 //!
-//! [`race`] steps a set of [`SearchStrategy`] values concurrently (one pool
-//! worker per strategy), all drawing candidates from a single
-//! [`SharedBudget`]. The first strategy to report
-//! [`StepStatus::Solved`](netsyn_ga::StepStatus) fires the shared
-//! [`CancelToken`]; every rival observes the token at its next step boundary
-//! — between GA generations, between DFS positions, before a beam level —
-//! and stops within that one unit of work. The total candidates drawn never
-//! exceed the budget cap (the shared atomic counter enforces it), but the
-//! admission *order* across strategies is whatever the race produces, so a
-//! portfolio run is not deterministic run-to-run. Deterministic evaluation
-//! paths use [`NetSyn`]'s island engine instead.
+//! [`race`] runs a set of [`SearchStrategy`] values round by round. Each
+//! round splits the caller's remaining [`SearchBudget`] among the live
+//! strategies, steps every one of them exactly once on its own slice (one
+//! pool task each), and merges the results in strategy-index order. The
+//! lowest-index strategy that solves in the earliest round wins. A step sees
+//! only its own strategy and slice, and the merge order is fixed, so a race
+//! is a pure function of the strategies' states and the budget: the winner,
+//! the solution and every strategy's candidate count are the same at every
+//! `NETSYN_POOL_THREADS`.
+//!
+//! A [`CancelToken`] is the caller's stop switch, checked between rounds.
+//! The race fires it once a strategy solves or panics.
 //!
 //! [`PortfolioSynthesizer`] wraps a [`NetSyn`] configuration as a
 //! [`Synthesizer`]: each synthesis races the GA islands, a DFS neighborhood
@@ -19,22 +20,23 @@
 //! same fitness function, probability map and shared [`FitnessCache`] the
 //! plain engine would use.
 
-use crate::sync_select::{AtomicUsize, Ordering};
 use crate::synthesizer::NetSyn;
 use netsyn_baselines::{SynthesisProblem, SynthesisResult, Synthesizer};
 use netsyn_dsl::Program;
 use netsyn_fitness::{FitnessCache, FitnessFunction, ProbabilityMap};
 use netsyn_ga::{
     random_seed_programs, BeamConfig, BeamSearch, CancelToken, DfsSearchStrategy, GaSearchStrategy,
-    SearchBudget, SearchStrategy, SharedBudget, StepStatus,
+    SearchBudget, SearchStrategy, StepStatus,
 };
 use rand::RngCore;
 use rayon::prelude::*;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 
 /// Probability floor of the oracle-derived beam guidance map.
 const ORACLE_MAP_FLOOR: f64 = 0.05;
+
+/// Number of random seed programs the DFS strategy walks.
+const DFS_SEED_COUNT: usize = 4;
 
 /// Per-strategy accounting of one portfolio race.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +44,7 @@ pub struct StrategyReport {
     /// The strategy's stable name (`"ga-islands"`, `"dfs-neighborhood"`,
     /// `"beam"`, ...).
     pub name: String,
-    /// Candidates this strategy drew from the shared budget.
+    /// Candidates this strategy drew from the caller's budget.
     pub candidates_evaluated: usize,
     /// Whether this strategy found a satisfying program.
     pub solved: bool,
@@ -53,136 +55,129 @@ pub struct StrategyReport {
 pub struct PortfolioOutcome {
     /// The winning program, if any strategy solved the problem.
     pub solution: Option<Program>,
-    /// Name of the strategy whose solution won the cancellation race.
+    /// Name of the winning strategy: the lowest-index solver of the
+    /// earliest round that had one.
     pub winner: Option<String>,
-    /// Total candidates drawn from the shared budget by all strategies.
+    /// Total candidates the race charged to the caller's budget.
     pub candidates_evaluated: usize,
-    /// The shared-budget reading at the moment the winner fired the token
-    /// (equal to [`PortfolioOutcome::candidates_evaluated`] when no one
-    /// solved). The difference between the two bounds the work losers did
-    /// after the solution existed: at most one step per rival.
-    pub evaluated_at_cancellation: usize,
     /// One report per strategy, in the order they were passed to [`race`].
     pub reports: Vec<StrategyReport>,
 }
 
-struct Slot<'s> {
+/// One live strategy's step in a round: its budget slice and, once the
+/// step has run, what it returned or the payload it panicked with.
+struct RoundStep<'s> {
     index: usize,
     strategy: &'s mut (dyn SearchStrategy + Send),
-    solution: Option<Program>,
+    slice: SearchBudget,
+    status: Option<std::thread::Result<StepStatus>>,
 }
 
-/// Races `strategies` to the first solution under one shared budget.
+/// Races `strategies` to the first solution in lockstep rounds, drawing
+/// every candidate from `budget`.
 ///
-/// Each strategy runs on its own pool worker, stepping until it solves, runs
-/// out of work, or observes `cancel`. The first solver fires `cancel` (and
-/// any external holder of the token may fire it too, stopping the whole
-/// race). When several strategies solve concurrently — each stepped into a
-/// solution before observing the token — the one that won the atomic
-/// compare-exchange is the winner; the others' solutions still appear in
-/// their [`StrategyReport`]s.
+/// Each round:
+/// 1. stops the race if `cancel` has fired;
+/// 2. splits the remaining budget among the live strategies with
+///    [`SearchBudget::split_remaining`];
+/// 3. steps every live strategy exactly once on its own slice, one pool
+///    task each;
+/// 4. merges in index order: charges each slice's draws to `budget` and
+///    retires strategies that returned [`StepStatus::Done`] or
+///    [`StepStatus::Solved`].
+///
+/// The lowest-index strategy that solves in the earliest round wins, and
+/// `race` fires `cancel`. Rivals that solved in the same round still report
+/// `solved` in their [`StrategyReport`].
 ///
 /// # Panics
 ///
-/// If a strategy panics mid-race, the token is fired so every rival stops,
-/// and the panic payload (the lowest-indexed one, if several) is re-raised
-/// on the caller once all workers have stopped — a losing strategy's panic
-/// is never silently swallowed.
+/// If strategies panic in a round, the rest of that round still runs and is
+/// charged; then `race` fires `cancel` and re-raises the lowest-index
+/// payload on the caller.
 pub fn race(
     strategies: &mut [&mut (dyn SearchStrategy + Send)],
-    budget: &SharedBudget,
+    budget: &mut SearchBudget,
     cancel: &CancelToken,
 ) -> PortfolioOutcome {
-    let winner = AtomicUsize::new(usize::MAX);
-    let at_cancellation = AtomicUsize::new(usize::MAX);
-    let panics: Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(Vec::new());
-    let mut slots: Vec<Slot<'_>> = strategies
-        .iter_mut()
-        .enumerate()
-        .map(|(index, strategy)| Slot {
-            index,
-            strategy: &mut **strategy,
-            solution: None,
-        })
-        .collect();
-    slots.par_chunks_mut(1).for_each(|chunk| {
-        let slot = &mut chunk[0];
-        let outcome = catch_unwind(AssertUnwindSafe(|| loop {
-            if cancel.is_cancelled() {
-                break;
-            }
-            match slot.strategy.step(budget, cancel) {
-                StepStatus::Solved(program) => {
-                    if winner
-                        .compare_exchange(
-                            usize::MAX,
-                            slot.index,
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        )
-                        .is_ok()
-                    {
-                        // Snapshot before firing so rivals that observe the
-                        // token always see the snapshot as well.
-                        at_cancellation.store(budget.evaluated(), Ordering::SeqCst);
-                        cancel.cancel();
-                    }
-                    slot.solution = Some(program);
-                    break;
+    let start = budget.evaluated();
+    let mut retired = vec![false; strategies.len()];
+    let mut solutions: Vec<Option<Program>> = vec![None; strategies.len()];
+    let mut winner = None;
+    while winner.is_none() && retired.contains(&false) && !cancel.is_cancelled() {
+        let slices = budget.split_remaining(retired.iter().filter(|r| !**r).count());
+        let mut round: Vec<RoundStep<'_>> = strategies
+            .iter_mut()
+            .enumerate()
+            .filter(|(index, _)| !retired[*index])
+            .zip(slices)
+            .map(|((index, strategy), slice)| RoundStep {
+                index,
+                strategy: &mut **strategy,
+                slice,
+                status: None,
+            })
+            .collect();
+        round.par_chunks_mut(1).for_each(|chunk| {
+            let step = &mut chunk[0];
+            let status = catch_unwind(AssertUnwindSafe(|| step.strategy.step(&mut step.slice)));
+            step.status = Some(status);
+        });
+        let mut panic = None;
+        for step in round {
+            let drawn = step.slice.evaluated();
+            let charged = budget.try_consume_many(drawn);
+            debug_assert_eq!(charged, drawn, "slices cannot exceed the remainder");
+            match step.status.expect("every round step runs") {
+                Ok(StepStatus::Continue) => {}
+                Ok(StepStatus::Done) => retired[step.index] = true,
+                Ok(StepStatus::Solved(program)) => {
+                    retired[step.index] = true;
+                    solutions[step.index] = Some(program);
+                    winner.get_or_insert(step.index);
                 }
-                StepStatus::Continue => {}
-                StepStatus::Done => break,
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
             }
-        }));
-        if let Err(payload) = outcome {
-            cancel.cancel();
-            panics
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push((slot.index, payload));
         }
-    });
-    let mut panics = panics
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if !panics.is_empty() {
-        panics.sort_by_key(|(index, _)| *index);
-        resume_unwind(panics.swap_remove(0).1);
+        if let Some(payload) = panic {
+            cancel.cancel();
+            resume_unwind(payload);
+        }
     }
-    let reports: Vec<StrategyReport> = slots
+    if winner.is_some() {
+        cancel.cancel();
+    }
+    let reports: Vec<StrategyReport> = strategies
         .iter()
-        .map(|slot| StrategyReport {
-            name: slot.strategy.name().to_string(),
-            candidates_evaluated: slot.strategy.candidates_evaluated(),
-            solved: slot.solution.is_some(),
+        .zip(&solutions)
+        .map(|(strategy, solution)| StrategyReport {
+            name: strategy.name().to_string(),
+            candidates_evaluated: strategy.candidates_evaluated(),
+            solved: solution.is_some(),
         })
         .collect();
-    let candidates_evaluated = budget.evaluated();
-    let winner_index = winner.load(Ordering::SeqCst);
-    let (solution, winner) = match slots.iter_mut().find(|slot| slot.index == winner_index) {
-        Some(slot) => (slot.solution.take(), Some(slot.strategy.name().to_string())),
+    let (solution, winner) = match winner {
+        Some(index) => (
+            solutions[index].take(),
+            Some(strategies[index].name().to_string()),
+        ),
         None => (None, None),
-    };
-    let evaluated_at_cancellation = match at_cancellation.load(Ordering::SeqCst) {
-        usize::MAX => candidates_evaluated,
-        snapshot => snapshot,
     };
     PortfolioOutcome {
         solution,
         winner,
-        candidates_evaluated,
-        evaluated_at_cancellation,
+        candidates_evaluated: budget.evaluated() - start,
         reports,
     }
 }
 
 /// A [`Synthesizer`] racing NetSyn's GA islands against a DFS neighborhood
-/// walk and a guided beam search, under one shared budget with
-/// first-solution cancellation.
+/// walk and a guided beam search in lockstep rounds over the caller's
+/// budget.
 pub struct PortfolioSynthesizer {
     netsyn: NetSyn,
-    dfs_seed_count: usize,
-    beam: BeamConfig,
     name: String,
 }
 
@@ -191,32 +186,13 @@ impl PortfolioSynthesizer {
     #[must_use]
     pub fn new(netsyn: NetSyn) -> Self {
         let name = format!("Portfolio_{}", netsyn.name());
-        PortfolioSynthesizer {
-            netsyn,
-            dfs_seed_count: 4,
-            beam: BeamConfig::default(),
-            name,
-        }
+        PortfolioSynthesizer { netsyn, name }
     }
 
     /// Overrides the display name.
     #[must_use]
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
-        self
-    }
-
-    /// Overrides the number of random seed programs the DFS strategy walks.
-    #[must_use]
-    pub fn with_dfs_seed_count(mut self, count: usize) -> Self {
-        self.dfs_seed_count = count.max(1);
-        self
-    }
-
-    /// Overrides the beam width schedule.
-    #[must_use]
-    pub fn with_beam_config(mut self, beam: BeamConfig) -> Self {
-        self.beam = beam;
         self
     }
 
@@ -236,6 +212,38 @@ impl PortfolioSynthesizer {
                 })
             })
             .unwrap_or_else(|| ProbabilityMap::uniform_for(problem.domain))
+    }
+
+    /// Races the three strategies on `problem` and returns the whole
+    /// outcome, per-strategy reports included.
+    /// [`Synthesizer::synthesize_cached`] is this call reduced to a
+    /// [`SynthesisResult`].
+    pub fn race_cached(
+        &self,
+        problem: &SynthesisProblem,
+        budget: &mut SearchBudget,
+        rng: &mut dyn RngCore,
+        cache: &FitnessCache,
+    ) -> PortfolioOutcome {
+        let mut ga_config = self.netsyn.config().ga.clone();
+        ga_config.program_length = problem.target_length;
+        ga_config.domain = problem.domain;
+        let fitness = self.netsyn.build_fitness(&problem.spec);
+        let map = self.beam_map(problem, fitness.as_ref());
+        let ga_seed = rng.next_u64();
+        let dfs_seed = rng.next_u64();
+        let seeds = random_seed_programs(&ga_config, &problem.spec, DFS_SEED_COUNT, dfs_seed);
+        let mut ga = GaSearchStrategy::new(&ga_config, &problem.spec, &fitness, cache, ga_seed);
+        let mut dfs = DfsSearchStrategy::new(&ga_config, &problem.spec, &fitness, cache, seeds);
+        let mut beam = BeamSearch::new(
+            &problem.spec,
+            problem.domain,
+            problem.target_length,
+            map,
+            BeamConfig::default(),
+        );
+        let mut strategies: [&mut (dyn SearchStrategy + Send); 3] = [&mut ga, &mut dfs, &mut beam];
+        race(&mut strategies, budget, &CancelToken::new())
     }
 }
 
@@ -260,33 +268,7 @@ impl Synthesizer for PortfolioSynthesizer {
         rng: &mut dyn RngCore,
         cache: &FitnessCache,
     ) -> SynthesisResult {
-        let mut ga_config = self.netsyn.config().ga.clone();
-        ga_config.program_length = problem.target_length;
-        ga_config.domain = problem.domain;
-        let fitness = self.netsyn.build_fitness(&problem.spec);
-        let map = self.beam_map(problem, fitness.as_ref());
-        let ga_seed = rng.next_u64();
-        let dfs_seed = rng.next_u64();
-        let seeds = random_seed_programs(&ga_config, &problem.spec, self.dfs_seed_count, dfs_seed);
-        let mut ga = GaSearchStrategy::new(&ga_config, &problem.spec, &fitness, cache, ga_seed);
-        let mut dfs = DfsSearchStrategy::new(&ga_config, &problem.spec, &fitness, cache, seeds);
-        let mut beam = BeamSearch::new(
-            &problem.spec,
-            problem.domain,
-            problem.target_length,
-            map,
-            self.beam,
-        );
-        let mut strategies: [&mut (dyn SearchStrategy + Send); 3] = [&mut ga, &mut dfs, &mut beam];
-        let shared = SharedBudget::new(budget.remaining());
-        let cancel = CancelToken::new();
-        let outcome = race(&mut strategies, &shared, &cancel);
-        let charged = budget.try_consume_many(outcome.candidates_evaluated);
-        debug_assert_eq!(
-            charged, outcome.candidates_evaluated,
-            "the shared budget was sliced from the master's remainder, so the master \
-             must be able to absorb every candidate the race drew"
-        );
+        let outcome = self.race_cached(problem, budget, rng, cache);
         SynthesisResult {
             solution: outcome.solution,
             candidates_evaluated: outcome.candidates_evaluated,
@@ -340,13 +322,13 @@ mod tests {
 
     #[test]
     fn empty_race_returns_an_empty_outcome() {
-        let budget = SharedBudget::new(100);
+        let mut budget = SearchBudget::new(100);
         let cancel = CancelToken::new();
-        let outcome = race(&mut [], &budget, &cancel);
+        let outcome = race(&mut [], &mut budget, &cancel);
         assert_eq!(outcome.solution, None);
         assert_eq!(outcome.winner, None);
         assert_eq!(outcome.candidates_evaluated, 0);
-        assert_eq!(outcome.evaluated_at_cancellation, 0);
+        assert_eq!(budget.evaluated(), 0);
         assert!(outcome.reports.is_empty());
     }
 }

@@ -10,13 +10,12 @@
 //!
 //! [`BeamSearch`] is *resumable*: each [`BeamSearch::step_level`] call
 //! expands exactly one depth level (or performs one CAB widening restart),
-//! which is the unit of work the [`crate::SearchStrategy`] contract
-//! schedules and the unit within which cancellation is honored. The
-//! `pccoder` baseline drives the same state machine to completion in a
-//! loop, so baseline behavior is unchanged by the extraction.
+//! which is the unit of work one [`crate::SearchStrategy`] step performs in
+//! a portfolio round. The `pccoder` baseline drives the same state machine
+//! to completion in a loop, so baseline behavior is unchanged by the
+//! extraction.
 
-use crate::budget::BudgetSource;
-use crate::cancel::CancelToken;
+use crate::budget::SearchBudget;
 use netsyn_dsl::{DomainId, IoSpec, Program};
 use netsyn_fitness::metrics::output_similarity;
 use netsyn_fitness::ProbabilityMap;
@@ -65,8 +64,8 @@ pub enum BeamStep {
     Solved(Program),
     /// The level was expanded (or the beam widened); more work remains.
     Continue,
-    /// The search is over without a solution: budget denied, width cap
-    /// reached, or cancellation observed.
+    /// The search is over without a solution: budget denied or width cap
+    /// reached.
     Finished,
 }
 
@@ -121,29 +120,14 @@ impl<'a> BeamSearch<'a> {
         self.finished
     }
 
-    /// The highest-ranked partial program currently on the beam.
-    #[must_use]
-    pub fn best_partial(&self) -> Option<&Program> {
-        self.beam.first().map(|(program, _)| program)
-    }
-
     /// Expands one depth level: every beam entry is extended by every DSL
     /// function, full-length extensions are checked against the
     /// specification, and the `width` best-scoring extensions survive. A
     /// pass that completes the target length without a solution restarts
     /// with a doubled width (CAB) until the budget runs dry or the width
-    /// cap is reached. A fired `cancel` token finishes the search before
-    /// any expansion.
-    pub fn step_level<B: BudgetSource + ?Sized>(
-        &mut self,
-        budget: &mut B,
-        cancel: Option<&CancelToken>,
-    ) -> BeamStep {
+    /// cap is reached.
+    pub fn step_level(&mut self, budget: &mut SearchBudget) -> BeamStep {
         if self.finished {
-            return BeamStep::Finished;
-        }
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            self.finished = true;
             return BeamStep::Finished;
         }
         let mut extensions: Vec<(Program, f64)> = Vec::new();
@@ -183,7 +167,7 @@ impl<'a> BeamSearch<'a> {
         BeamStep::Continue
     }
 
-    fn widen_or_finish<B: BudgetSource + ?Sized>(&mut self, budget: &B) -> BeamStep {
+    fn widen_or_finish(&mut self, budget: &SearchBudget) -> BeamStep {
         if budget.is_exhausted() || self.width >= self.config.max_width {
             self.finished = true;
             return BeamStep::Finished;
@@ -195,13 +179,9 @@ impl<'a> BeamSearch<'a> {
     }
 
     /// Runs the search to completion: the baseline-style driver.
-    pub fn run<B: BudgetSource + ?Sized>(
-        &mut self,
-        budget: &mut B,
-        cancel: Option<&CancelToken>,
-    ) -> Option<Program> {
+    pub fn run(&mut self, budget: &mut SearchBudget) -> Option<Program> {
         loop {
-            match self.step_level(budget, cancel) {
+            match self.step_level(budget) {
                 BeamStep::Solved(program) => return Some(program),
                 BeamStep::Continue => {}
                 BeamStep::Finished => return None,
@@ -213,7 +193,6 @@ impl<'a> BeamSearch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::SearchBudget;
     use netsyn_dsl::{Function, IntPredicate, MapOp, Value};
 
     fn target() -> Program {
@@ -241,7 +220,7 @@ mod tests {
         let map = ProbabilityMap::from_target(&target(), 0.01);
         let mut search = BeamSearch::new(&spec, DomainId::List, 3, map, BeamConfig::default());
         let mut budget = SearchBudget::new(200_000);
-        let solution = search.run(&mut budget, None);
+        let solution = search.run(&mut budget);
         let solution = solution.expect("informed guidance finds the target");
         assert!(spec.is_satisfied_by(&solution));
         assert_eq!(search.evaluated(), budget.evaluated());
@@ -254,26 +233,9 @@ mod tests {
         let map = ProbabilityMap::uniform();
         let mut search = BeamSearch::new(&spec, DomainId::List, 5, map, BeamConfig::default());
         let mut budget = SearchBudget::new(300);
-        let solution = search.run(&mut budget, None);
+        let solution = search.run(&mut budget);
         assert!(search.evaluated() <= 300);
         assert!(budget.is_exhausted() || solution.is_some());
-    }
-
-    #[test]
-    fn a_fired_token_finishes_the_search_without_expanding() {
-        let spec = spec();
-        let map = ProbabilityMap::from_target(&target(), 0.01);
-        let mut search = BeamSearch::new(&spec, DomainId::List, 3, map, BeamConfig::default());
-        let token = CancelToken::new();
-        token.cancel();
-        let mut budget = SearchBudget::new(200_000);
-        assert_eq!(
-            search.step_level(&mut budget, Some(&token)),
-            BeamStep::Finished
-        );
-        assert_eq!(search.evaluated(), 0);
-        assert_eq!(budget.evaluated(), 0);
-        assert!(search.is_finished());
     }
 
     #[test]
@@ -282,7 +244,7 @@ mod tests {
         let map = ProbabilityMap::uniform();
         let mut search = BeamSearch::new(&spec, DomainId::List, 0, map, BeamConfig::default());
         let mut budget = SearchBudget::new(100);
-        assert_eq!(search.run(&mut budget, None), None);
+        assert_eq!(search.run(&mut budget), None);
         assert_eq!(budget.evaluated(), 0);
     }
 }

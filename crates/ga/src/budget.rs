@@ -3,26 +3,19 @@
 //! The paper's headline metric is the number of candidate programs searched
 //! before a solution is found, expressed as a percentage of a hard cap
 //! (3,000,000 candidates in the paper). Every synthesizer in this
-//! reproduction — NetSyn, the GA ablations and all baselines — draws from a
-//! [`SearchBudget`] so the metric is comparable across methods.
+//! reproduction — NetSyn, the GA ablations, the portfolio and all baselines
+//! — draws from a [`SearchBudget`] so the metric is comparable across
+//! methods.
 //!
-//! Two budget shapes exist:
-//!
-//! * [`SearchBudget`] — a plain counter owned by one search. This is what
-//!   the deterministic engine paths use: every admission decision is made
-//!   by exactly one owner, so trajectories are reproducible bit for bit.
-//! * [`SharedBudget`] — an atomic counter cloned across concurrently racing
-//!   strategies (see [`crate::strategy`]). Admissions are first-come
-//!   first-served across threads, so a race is *not* deterministic — but
-//!   the cap is a hard invariant: the sum of all admitted candidates never
-//!   exceeds it, however the race interleaves.
-//!
-//! The [`BudgetSource`] trait abstracts over both so the engine internals,
-//! the neighborhood search and the beam search can run against either.
+//! A budget is a plain counter with exactly one owner, so every admission
+//! decision is made in a fixed order and trajectories are reproducible bit
+//! for bit. Searches that run parts of their work concurrently — the
+//! `K > 1` island driver and the portfolio race — never share a counter
+//! across threads: they [`split`](SearchBudget::split_remaining) the
+//! remainder into per-task slices, run each task against its own slice, and
+//! charge the slices' draws back to the owner in index order.
 
-use crate::sync_select::{AtomicUsize, Ordering};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// A counter of candidate programs evaluated against a hard cap.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -97,112 +90,24 @@ impl SearchBudget {
         self.evaluated += admitted;
         admitted
     }
+
+    /// Partitions the remaining candidates into `parts` fresh budgets:
+    /// `remaining / parts` each, the first `remaining % parts` taking one
+    /// extra. The slices sum to exactly [`SearchBudget::remaining`], so
+    /// charging back whatever they admit can never overrun this budget's
+    /// cap. This budget itself is not charged.
+    #[must_use]
+    pub fn split_remaining(&self, parts: usize) -> Vec<SearchBudget> {
+        let remaining = self.remaining();
+        (0..parts)
+            .map(|i| SearchBudget::new(remaining / parts + usize::from(i < remaining % parts)))
+            .collect()
+    }
 }
 
 impl Default for SearchBudget {
     fn default() -> Self {
         SearchBudget::paper_default()
-    }
-}
-
-/// Anything candidate evaluations can be drawn from: a locally owned
-/// [`SearchBudget`] or a cross-strategy [`SharedBudget`].
-///
-/// The contract mirrors [`SearchBudget::try_consume`]: `try_consume` admits
-/// at most one candidate and returns whether it was admitted; a denied
-/// candidate is not counted. `is_exhausted` reports whether any future
-/// `try_consume` can succeed (for a shared budget this is a racy snapshot —
-/// another thread may drain the remainder between the check and the draw,
-/// which is why admission itself is the only authoritative operation).
-pub trait BudgetSource {
-    /// Records the evaluation of one candidate; `false` means the cap is hit.
-    fn try_consume(&mut self) -> bool;
-    /// Whether the cap has been reached.
-    fn is_exhausted(&self) -> bool;
-}
-
-impl BudgetSource for SearchBudget {
-    fn try_consume(&mut self) -> bool {
-        SearchBudget::try_consume(self)
-    }
-
-    fn is_exhausted(&self) -> bool {
-        SearchBudget::is_exhausted(self)
-    }
-}
-
-#[derive(Debug)]
-struct SharedBudgetInner {
-    max_candidates: usize,
-    evaluated: AtomicUsize,
-}
-
-/// An atomically shared candidate budget for racing search strategies.
-///
-/// Clones share one counter. Admission uses a compare-and-swap loop, so the
-/// cap is never exceeded even when every strategy in a portfolio draws from
-/// it concurrently; the *order* of admissions across strategies is whatever
-/// the race produces. Use [`SearchBudget`] wherever determinism matters.
-#[derive(Debug, Clone)]
-pub struct SharedBudget {
-    inner: Arc<SharedBudgetInner>,
-}
-
-impl SharedBudget {
-    /// Creates a shared budget allowing up to `max_candidates` evaluations.
-    #[must_use]
-    pub fn new(max_candidates: usize) -> Self {
-        SharedBudget {
-            inner: Arc::new(SharedBudgetInner {
-                max_candidates,
-                evaluated: AtomicUsize::new(0),
-            }),
-        }
-    }
-
-    /// The configured cap.
-    #[must_use]
-    pub fn max_candidates(&self) -> usize {
-        self.inner.max_candidates
-    }
-
-    /// Total candidates admitted so far, across every clone.
-    #[must_use]
-    pub fn evaluated(&self) -> usize {
-        self.inner.evaluated.load(Ordering::SeqCst)
-    }
-
-    /// Remaining candidates before the cap is hit (a racy snapshot).
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.inner.max_candidates.saturating_sub(self.evaluated())
-    }
-
-    /// Whether the cap has been reached.
-    #[must_use]
-    pub fn is_exhausted(&self) -> bool {
-        self.evaluated() >= self.inner.max_candidates
-    }
-
-    /// Atomically records the evaluation of one candidate. Returns `false`
-    /// (and counts nothing) once the cap is reached.
-    pub fn try_consume(&self) -> bool {
-        self.inner
-            .evaluated
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < self.inner.max_candidates).then_some(n + 1)
-            })
-            .is_ok()
-    }
-}
-
-impl BudgetSource for SharedBudget {
-    fn try_consume(&mut self) -> bool {
-        SharedBudget::try_consume(self)
-    }
-
-    fn is_exhausted(&self) -> bool {
-        SharedBudget::is_exhausted(self)
     }
 }
 
@@ -262,52 +167,22 @@ mod tests {
     }
 
     #[test]
-    fn shared_budget_clones_share_one_counter() {
-        let budget = SharedBudget::new(3);
-        let clone = budget.clone();
-        assert!(budget.try_consume());
-        assert!(clone.try_consume());
-        assert!(budget.try_consume());
-        assert!(!clone.try_consume());
-        assert_eq!(budget.evaluated(), 3);
-        assert_eq!(clone.remaining(), 0);
-        assert!(budget.is_exhausted());
-    }
-
-    #[test]
-    fn shared_budget_never_exceeds_the_cap_under_contention() {
-        use rayon::prelude::*;
-        let budget = SharedBudget::new(500);
-        let attempts: Vec<usize> = (0..8).collect();
-        let admitted: Vec<usize> = attempts
-            .par_iter()
-            .map(|_| {
-                let mut local = 0usize;
-                for _ in 0..100 {
-                    if budget.try_consume() {
-                        local += 1;
-                    }
-                }
-                local
-            })
+    fn split_remaining_partitions_the_remainder_lowest_index_first() {
+        let mut budget = SearchBudget::new(12);
+        budget.try_consume_many(2);
+        let slices: Vec<usize> = budget
+            .split_remaining(3)
+            .iter()
+            .map(SearchBudget::max_candidates)
             .collect();
-        assert_eq!(admitted.iter().sum::<usize>(), 500);
-        assert_eq!(budget.evaluated(), 500);
-        assert!(!budget.try_consume());
-    }
-
-    #[test]
-    fn budget_source_is_object_safe_over_both_shapes() {
-        fn drain(budget: &mut dyn BudgetSource) -> usize {
-            let mut n = 0;
-            while budget.try_consume() {
-                n += 1;
-            }
-            n
-        }
-        let mut owned = SearchBudget::new(4);
-        assert_eq!(drain(&mut owned), 4);
-        let mut shared = SharedBudget::new(2);
-        assert_eq!(drain(&mut shared), 2);
+        assert_eq!(slices, vec![4, 3, 3]);
+        assert_eq!(budget.evaluated(), 2, "splitting charges nothing");
+        assert!(budget.split_remaining(0).is_empty());
+        let dry: Vec<usize> = SearchBudget::new(2)
+            .split_remaining(3)
+            .iter()
+            .map(SearchBudget::max_candidates)
+            .collect();
+        assert_eq!(dry, vec![1, 1, 0]);
     }
 }

@@ -1,21 +1,18 @@
-//! Cooperative cancellation for racing search strategies.
+//! The caller's stop switch for a portfolio race.
 //!
-//! A [`CancelToken`] is a cloneable flag the portfolio orchestrator hands to
-//! every strategy in a race. The first strategy to find a solution fires the
-//! token; the others observe it at their next check point — the engine checks
-//! between generations, the DFS neighborhood search between positions, the
-//! beam search between expansions — and stop within that one unit of work.
-//! Cancellation is purely cooperative: nothing is interrupted mid-kernel, so
-//! cache shards and claim guards are always left in a consistent state.
+//! A [`CancelToken`] is a cloneable flag. The portfolio orchestrator (in
+//! `netsyn-core`) checks it between lockstep rounds, never inside a
+//! strategy's step, so a fired token stops the race after the round in
+//! flight has been merged and charged. The race also fires the token itself
+//! when a strategy solves the problem or panics, so every holder of a clone
+//! sees that the race is over.
 
-use crate::sync_select::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// A cloneable, thread-safe cancellation flag.
 ///
-/// Clones share one flag; once fired it stays fired. The token is
-/// level-triggered — checking it is cheap (one atomic load), so search loops
-/// check it at every step boundary.
+/// Clones share one flag; once fired it stays fired.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     cancelled: Arc<AtomicBool>,

@@ -141,7 +141,7 @@ impl GeneticEngine {
         F: FitnessFunction + ?Sized,
         R: Rng + ?Sized,
     {
-        let ctx = SynthesisContext::new(&self.config, spec, fitness, cache, None);
+        let ctx = SynthesisContext::new(&self.config, spec, fitness, cache);
         if self.config.islands == 1 {
             island::synthesize_single(&ctx, budget, rng)
         } else {

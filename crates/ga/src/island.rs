@@ -12,11 +12,12 @@
 //!   `tests/warm_cache_determinism.rs`). With `K > 1` the caller's RNG
 //!   seeds one `ChaCha8Rng` per island, in island-index order.
 //! * **Budget slices.** With `K > 1` the remaining budget is partitioned up
-//!   front: `remaining / K` per island, the first `remaining % K` islands
-//!   taking one extra. Slices are never rebalanced — an island that solves
-//!   early strands its leftover slice. That wastes a little budget but buys
-//!   bit-for-bit determinism: no island's admission decisions ever depend
-//!   on how fast another island (or pool worker) is running.
+//!   front with [`SearchBudget::split_remaining`]: `remaining / K` per
+//!   island, the first `remaining % K` islands taking one extra. Slices
+//!   are never rebalanced — an island that solves early strands its
+//!   leftover slice. That wastes a little budget but buys bit-for-bit
+//!   determinism: no island's admission decisions ever depend on how fast
+//!   another island (or pool worker) is running.
 //! * **Migration.** Every `migration_interval` generations the islands
 //!   synchronize and migrate around a ring: island `i` sends clones of its
 //!   `migration_size` fittest genes to island `(i + 1) % K`, which replaces
@@ -32,8 +33,7 @@
 //! cached scores are bit-identical to recomputed ones, whichever island (or
 //! process) computed them first.
 
-use crate::budget::{BudgetSource, SearchBudget};
-use crate::cancel::CancelToken;
+use crate::budget::SearchBudget;
 use crate::config::{GaConfig, NeighborhoodStrategy};
 use crate::crossover;
 use crate::engine::GaOutcome;
@@ -64,9 +64,6 @@ pub(crate) struct SynthesisContext<'a, F: ?Sized> {
     pub memo: Arc<SpecScores>,
     pub traces: Arc<TraceEncodingCache>,
     pub cache: &'a FitnessCache,
-    /// Cooperative cancellation, checked at generation and neighborhood
-    /// position boundaries. `None` outside portfolio races.
-    pub cancel: Option<&'a CancelToken>,
 }
 
 impl<'a, F: FitnessFunction + ?Sized> SynthesisContext<'a, F> {
@@ -75,7 +72,6 @@ impl<'a, F: FitnessFunction + ?Sized> SynthesisContext<'a, F> {
         spec: &'a IoSpec,
         fitness: &'a F,
         cache: &'a FitnessCache,
-        cancel: Option<&'a CancelToken>,
     ) -> Self {
         let input_types = if spec.is_empty() {
             config.domain.default_input_types().to_vec()
@@ -91,7 +87,6 @@ impl<'a, F: FitnessFunction + ?Sized> SynthesisContext<'a, F> {
             memo: cache.shard(&fitness.cache_key(), spec),
             traces: cache.trace_shard(&fitness.cache_key()),
             cache,
-            cancel,
         }
     }
 }
@@ -110,8 +105,6 @@ pub(crate) enum IslandStatus {
     Exhausted,
     /// Reached `max_generations` without a solution.
     Finished,
-    /// Observed a fired cancellation token.
-    Cancelled,
 }
 
 /// One island population's complete evolution state.
@@ -142,7 +135,7 @@ impl Island {
         }
     }
 
-    fn consume<B: BudgetSource + ?Sized>(&mut self, budget: &mut B) -> bool {
+    fn consume(&mut self, budget: &mut SearchBudget) -> bool {
         if budget.try_consume() {
             self.evaluated += 1;
             true
@@ -154,14 +147,13 @@ impl Island {
     /// Fills the initial population with random, dead-code-free genes,
     /// checking each against the specification. May leave the island
     /// `Solved` (a random gene satisfied the spec) or `Exhausted`.
-    pub(crate) fn initialize<F, B, R>(
+    pub(crate) fn initialize<F, R>(
         &mut self,
         ctx: &SynthesisContext<'_, F>,
-        budget: &mut B,
+        budget: &mut SearchBudget,
         rng: &mut R,
     ) where
         F: FitnessFunction + ?Sized,
-        B: BudgetSource + ?Sized,
         R: Rng + ?Sized,
     {
         debug_assert!(!self.initialized);
@@ -186,24 +178,17 @@ impl Island {
     /// Runs one generation: score the population, record histories, run the
     /// saturation-triggered neighborhood search if due, then breed the next
     /// generation. Transitions `status` out of `Active` on solution, budget
-    /// exhaustion, the generation cap, or cancellation.
-    pub(crate) fn step_generation<F, B, R>(
+    /// exhaustion or the generation cap.
+    pub(crate) fn step_generation<F, R>(
         &mut self,
         ctx: &SynthesisContext<'_, F>,
-        budget: &mut B,
+        budget: &mut SearchBudget,
         rng: &mut R,
     ) where
         F: FitnessFunction + ?Sized,
-        B: BudgetSource + ?Sized,
         R: Rng + ?Sized,
     {
         debug_assert_eq!(self.status, IslandStatus::Active);
-        if let Some(token) = ctx.cancel {
-            if token.is_cancelled() {
-                self.status = IslandStatus::Cancelled;
-                return;
-            }
-        }
         if self.generations >= ctx.config.max_generations {
             self.status = IslandStatus::Finished;
             return;
@@ -244,7 +229,6 @@ impl Island {
                 &ctx.memo,
                 &ctx.traces,
                 Some(ctx.cache),
-                ctx.cancel,
             );
             self.evaluated += ns.candidates_evaluated;
             self.detector.reset();
@@ -281,15 +265,14 @@ impl Island {
         }
     }
 
-    fn breed<F, B, R>(
+    fn breed<F, R>(
         &mut self,
         ctx: &SynthesisContext<'_, F>,
-        budget: &mut B,
+        budget: &mut SearchBudget,
         rng: &mut R,
     ) -> BreedResult
     where
         F: FitnessFunction + ?Sized,
-        B: BudgetSource + ?Sized,
         R: Rng + ?Sized,
     {
         let config = ctx.config;
@@ -524,14 +507,13 @@ pub(crate) struct IslandCell {
 /// Drives one island with the caller's RNG and budget: the classic
 /// panmictic engine. Draw-for-draw identical to the historical
 /// single-population loop (pinned by the golden-bytes test).
-pub(crate) fn synthesize_single<F, B, R>(
+pub(crate) fn synthesize_single<F, R>(
     ctx: &SynthesisContext<'_, F>,
-    budget: &mut B,
+    budget: &mut SearchBudget,
     rng: &mut R,
 ) -> GaOutcome
 where
     F: FitnessFunction + ?Sized,
-    B: BudgetSource + ?Sized,
     R: Rng + ?Sized,
 {
     let mut island = Island::new(ctx.config.saturation_window);
@@ -580,17 +562,15 @@ where
     R: Rng + ?Sized,
 {
     debug_assert!(k >= 2);
-    // Fixed upfront partition of the remaining master budget: `total / k`
-    // per island, the first `total % k` islands taking one extra. Slices
-    // are never rebalanced (determinism over utilization).
-    let total = master.remaining();
-    let base = total / k;
-    let extra = total % k;
-    let mut cells: Vec<IslandCell> = (0..k)
-        .map(|i| IslandCell {
+    // Fixed upfront partition of the remaining master budget, never
+    // rebalanced (determinism over utilization).
+    let mut cells: Vec<IslandCell> = master
+        .split_remaining(k)
+        .into_iter()
+        .map(|budget| IslandCell {
             island: Island::new(ctx.config.saturation_window),
             rng: ChaCha8Rng::seed_from_u64(rng.next_u64()),
-            budget: SearchBudget::new(base + usize::from(i < extra)),
+            budget,
         })
         .collect();
 

@@ -21,17 +21,18 @@
 //! evaluation is drawn from a [`SearchBudget`] so the paper's "search space
 //! used" metric is directly measurable.
 //!
-//! **Strategy layer** ([`SearchStrategy`]). A uniform step/budget/
-//! best-so-far interface over heterogeneous searches: [`GaSearchStrategy`]
-//! (one generation across all islands per step), [`DfsSearchStrategy`] (one
-//! DFS `(gene, position)` neighborhood per step) and [`BeamSearch`] (one
-//! guided beam depth level per step, lifted out of the PCCoder baseline).
-//! Strategies draw from a [`SharedBudget`] — an atomic counter whose cap is
-//! never exceeded however a race interleaves.
+//! **Strategy layer** ([`SearchStrategy`]). A uniform step interface over
+//! heterogeneous searches: [`GaSearchStrategy`] (one generation across all
+//! islands per step), [`DfsSearchStrategy`] (one DFS `(gene, position)`
+//! neighborhood per step) and [`BeamSearch`] (one guided beam depth level
+//! per step, lifted out of the PCCoder baseline). A step draws every
+//! candidate from the `&mut SearchBudget` it is handed and touches no other
+//! strategy's state.
 //!
 //! **Portfolio orchestration** lives above this crate (in `netsyn-core`):
-//! strategies race on separate pool workers under one shared budget with
-//! cooperative first-solution cancellation via [`CancelToken`].
+//! strategies race in lockstep rounds. Each round splits the remaining
+//! budget among the live strategies with [`SearchBudget::split_remaining`],
+//! steps each once on its own slice, and merges the results in index order.
 //!
 //! ## Determinism contract
 //!
@@ -45,8 +46,8 @@
 //!   golden bytes in `tests/warm_cache_determinism.rs`).
 //! * `K > 1` seeds one RNG stream per island from the caller's RNG in index
 //!   order and partitions the budget into fixed per-island slices up front
-//!   (`total/K` each, the first `total%K` getting one extra; never
-//!   rebalanced).
+//!   with [`SearchBudget::split_remaining`] (`total/K` each, the first
+//!   `total%K` getting one extra; never rebalanced).
 //! * Islands evolve epochs of `migration_interval` generations on separate
 //!   pool workers, then synchronize: island `i` sends clones of its
 //!   `migration_size` fittest genes to `(i+1) % K`, replacing the
@@ -60,18 +61,22 @@
 //!   because batched scores are bit-identical to per-candidate scores
 //!   whichever worker computes them first.
 //!
-//! Portfolio races are the deliberate exception: rival strategies admit
-//! candidates from one [`SharedBudget`] first-come first-served, so the
-//! *winner* may vary run to run while the budget cap and the validity of
-//! any reported solution never do.
+//! Portfolio races follow the same contract. Every round's slices are a
+//! function of the budget left after the previous round, each strategy's
+//! step depends only on its own state and slice, and the merge is
+//! index-ordered: the lowest-index strategy to solve in the earliest round
+//! wins. The winner, the solution and every strategy's candidate count are
+//! therefore the same at every pool size.
 //!
 //! ## Cancellation semantics
 //!
-//! A [`CancelToken`] is level-triggered and purely cooperative: the island
-//! loop checks it between generations, the DFS search between positions,
-//! the beam between depth levels — so a fired token stops every strategy
-//! within one step's worth of work, and no cache shard or claim guard is
-//! ever left inconsistent.
+//! Nothing below the portfolio race is cancellable: a step always runs to
+//! its end, so no cache shard or claim guard is ever left half-updated. A
+//! [`CancelToken`] is the race caller's stop switch. The race checks it
+//! between rounds, so a token fired before the race means zero draws, and
+//! a token fired during round `k` stops the race after round `k` is merged
+//! and charged. The race fires the token itself when a strategy solves or
+//! panics.
 //!
 //! ## Example
 //!
@@ -111,10 +116,9 @@ pub mod neighborhood;
 mod saturation;
 pub mod selection;
 mod strategy;
-pub(crate) mod sync_select;
 
 pub use beam::{guided_partial_score, BeamConfig, BeamSearch, BeamStep};
-pub use budget::{BudgetSource, SearchBudget, SharedBudget};
+pub use budget::SearchBudget;
 pub use cancel::CancelToken;
 pub use config::{GaConfig, MutationMode, NeighborhoodStrategy};
 pub use engine::{GaOutcome, GeneticEngine};
@@ -136,7 +140,6 @@ mod tests {
         assert_send_sync::<GeneticEngine>();
         assert_send_sync::<GaOutcome>();
         assert_send_sync::<SearchBudget>();
-        assert_send_sync::<SharedBudget>();
         assert_send_sync::<CancelToken>();
         assert_send_sync::<Population>();
     }

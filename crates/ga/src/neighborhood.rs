@@ -6,8 +6,7 @@
 //! its cost is `O(N · len(ζ) · |Σ_DSL|)` candidate programs, dramatically
 //! smaller than an unrestricted breadth-first search of the program space.
 
-use crate::budget::BudgetSource;
-use crate::cancel::CancelToken;
+use crate::budget::SearchBudget;
 use crate::config::NeighborhoodStrategy;
 use netsyn_dsl::{DomainId, IoSpec, Program};
 use netsyn_fitness::cache::{resolve_batch, SpecScores};
@@ -47,43 +46,31 @@ pub struct NeighborhoodOutcome {
 /// ticks its periodic-flush clock after each explored position, so a long
 /// saturation-triggered search keeps the durable tier as current as the
 /// generation loop does (a no-op for in-memory caches).
-///
-/// `budget` may be a locally owned [`crate::SearchBudget`] (the
-/// deterministic engine path) or a cross-strategy [`crate::SharedBudget`]
-/// (a portfolio race). `cancel`, when given, is checked between positions:
-/// a fired token stops the search within one position's neighborhood and
-/// reports the candidates evaluated so far.
 #[allow(clippy::too_many_arguments)]
-pub fn search<F, B>(
+pub fn search<F>(
     genes: &[Program],
     spec: &IoSpec,
     strategy: NeighborhoodStrategy,
     domain: DomainId,
     fitness: &F,
-    budget: &mut B,
+    budget: &mut SearchBudget,
     memo: &SpecScores,
     traces: &TraceEncodingCache,
     persist: Option<&FitnessCache>,
-    cancel: Option<&CancelToken>,
 ) -> NeighborhoodOutcome
 where
     F: FitnessFunction + ?Sized,
-    B: BudgetSource + ?Sized,
 {
     match strategy {
         NeighborhoodStrategy::Disabled => NeighborhoodOutcome {
             solution: None,
             candidates_evaluated: 0,
         },
-        NeighborhoodStrategy::Bfs => bfs_search(genes, spec, domain, budget, cancel),
-        NeighborhoodStrategy::Dfs => dfs_search(
-            genes, spec, domain, fitness, budget, memo, traces, persist, cancel,
-        ),
+        NeighborhoodStrategy::Bfs => bfs_search(genes, spec, domain, budget),
+        NeighborhoodStrategy::Dfs => {
+            dfs_search(genes, spec, domain, fitness, budget, memo, traces, persist)
+        }
     }
-}
-
-fn is_cancelled(cancel: Option<&CancelToken>) -> bool {
-    cancel.is_some_and(CancelToken::is_cancelled)
 }
 
 /// Descending-preference comparison for neighbor scores with a total,
@@ -106,22 +93,15 @@ fn neighbor_score_cmp(a: f64, b: f64) -> std::cmp::Ordering {
     }
 }
 
-fn bfs_search<B: BudgetSource + ?Sized>(
+fn bfs_search(
     genes: &[Program],
     spec: &IoSpec,
     domain: DomainId,
-    budget: &mut B,
-    cancel: Option<&CancelToken>,
+    budget: &mut SearchBudget,
 ) -> NeighborhoodOutcome {
     let mut evaluated = 0usize;
     for gene in genes {
         for position in 0..gene.len() {
-            if is_cancelled(cancel) {
-                return NeighborhoodOutcome {
-                    solution: None,
-                    candidates_evaluated: evaluated,
-                };
-            }
             let current = gene.get(position).expect("position in range");
             for &replacement in domain.vocab() {
                 if replacement == current {
@@ -151,31 +131,23 @@ fn bfs_search<B: BudgetSource + ?Sized>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn dfs_search<F, B>(
+fn dfs_search<F>(
     genes: &[Program],
     spec: &IoSpec,
     domain: DomainId,
     fitness: &F,
-    budget: &mut B,
+    budget: &mut SearchBudget,
     memo: &SpecScores,
     traces: &TraceEncodingCache,
     persist: Option<&FitnessCache>,
-    cancel: Option<&CancelToken>,
 ) -> NeighborhoodOutcome
 where
     F: FitnessFunction + ?Sized,
-    B: BudgetSource + ?Sized,
 {
     let mut evaluated = 0usize;
     for gene in genes {
         let mut current_gene = gene.clone();
         for position in 0..current_gene.len() {
-            if is_cancelled(cancel) {
-                return NeighborhoodOutcome {
-                    solution: None,
-                    candidates_evaluated: evaluated,
-                };
-            }
             match explore_position(
                 &current_gene,
                 position,
@@ -230,20 +202,19 @@ pub(crate) enum PositionOutcome {
 /// saturation path runs it in a loop, and the portfolio's DFS strategy runs
 /// exactly one call per [`crate::SearchStrategy::step`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn explore_position<F, B>(
+pub(crate) fn explore_position<F>(
     current_gene: &Program,
     position: usize,
     spec: &IoSpec,
     domain: DomainId,
     fitness: &F,
-    budget: &mut B,
+    budget: &mut SearchBudget,
     memo: &SpecScores,
     traces: &TraceEncodingCache,
     evaluated: &mut usize,
 ) -> PositionOutcome
 where
     F: FitnessFunction + ?Sized,
-    B: BudgetSource + ?Sized,
 {
     let current = current_gene.get(position).expect("position in range");
     // Collect the whole position's neighborhood first (checking
@@ -312,7 +283,6 @@ fn rank_neighbors<F: FitnessFunction + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::SearchBudget;
     use netsyn_dsl::{Function, IntPredicate, MapOp, Value};
     use netsyn_fitness::{ClosenessMetric, EditDistanceFitness, OracleFitness};
     use std::sync::Mutex;
@@ -335,7 +305,6 @@ mod tests {
             budget,
             &SpecScores::default(),
             &TraceEncodingCache::new(),
-            None,
             None,
         )
     }
@@ -627,7 +596,6 @@ mod tests {
             &memo,
             &traces,
             None,
-            None,
         );
         let cold_scored = *fitness.scored.lock().unwrap();
         assert!(cold_scored > 0, "the cold search must score neighbors");
@@ -643,7 +611,6 @@ mod tests {
             &mut warm_budget,
             &memo,
             &traces,
-            None,
             None,
         );
         assert_eq!(

@@ -1,25 +1,22 @@
-//! The strategy layer: a uniform step/budget/best-so-far interface over
-//! heterogeneous search procedures.
+//! The strategy layer: a uniform step interface over heterogeneous search
+//! procedures.
 //!
 //! A [`SearchStrategy`] is a resumable search whose [`SearchStrategy::step`]
 //! performs one bounded unit of work — one generation across all GA islands,
 //! one DFS `(gene, position)` neighborhood, one beam depth level — drawing
-//! candidates from a [`SharedBudget`] and honoring a [`CancelToken`]. The
-//! portfolio orchestrator (in `netsyn-core`) races strategies by stepping
-//! each on its own pool worker until the first one reports
-//! [`StepStatus::Solved`], then fires the token; every other strategy
-//! observes it at its next step boundary and stops within that one unit of
-//! work.
+//! every candidate from the [`SearchBudget`] it is handed. A step touches
+//! nothing but the strategy's own state, its budget and the bit-identical
+//! score caches, so its result is a pure function of the strategy's state
+//! and that budget.
 //!
-//! Because all strategies of a race draw from one shared atomic budget, the
-//! total number of candidates evaluated never exceeds the cap — but the
-//! admission *order* across strategies is whatever the race produces, so a
-//! portfolio run is not deterministic. Determinism-critical paths use the
-//! engine's island driver with locally owned budgets instead.
+//! The portfolio orchestrator (in `netsyn-core`) races strategies in
+//! lockstep rounds: each round hands every live strategy a fresh slice of
+//! the remaining budget, steps them all once in parallel, and merges the
+//! results in index order. Since no step observes another, a race is as
+//! deterministic as the island driver.
 
 use crate::beam::{BeamSearch, BeamStep};
-use crate::budget::SharedBudget;
-use crate::cancel::CancelToken;
+use crate::budget::SearchBudget;
 use crate::island::{self, Island, IslandStatus, SynthesisContext};
 use netsyn_dsl::Program;
 use netsyn_fitness::{FitnessCache, FitnessFunction};
@@ -33,7 +30,7 @@ pub enum StepStatus {
     Solved(Program),
     /// The step completed; the strategy has more work to do.
     Continue,
-    /// The strategy is out of work (budget, search space, or cancellation).
+    /// The strategy is out of work: its budget or its search space ran dry.
     Done,
 }
 
@@ -42,26 +39,21 @@ pub trait SearchStrategy {
     /// A short stable name for reports.
     fn name(&self) -> &str;
 
-    /// Performs one bounded unit of work. Implementations check `cancel`
-    /// at entry (and between internal sub-units where natural) and return
-    /// [`StepStatus::Done`] once it has fired; they draw every candidate
+    /// Performs one bounded unit of work, drawing every candidate
     /// evaluation from `budget`.
-    fn step(&mut self, budget: &SharedBudget, cancel: &CancelToken) -> StepStatus;
+    fn step(&mut self, budget: &mut SearchBudget) -> StepStatus;
 
-    /// Total candidates this strategy has drawn from the budget.
+    /// Total candidates this strategy has drawn from its budgets.
     fn candidates_evaluated(&self) -> usize;
-
-    /// The most promising program found so far, if any.
-    fn best_so_far(&self) -> Option<Program>;
 }
 
 /// The GA islands as a steppable strategy: one [`step`](SearchStrategy::step)
 /// evolves every still-active island by one generation (in index order, on
 /// the calling worker) and migrates elites on the configured schedule.
 ///
-/// Unlike the engine's deterministic driver, all islands draw from the
-/// race's [`SharedBudget`] — no upfront slicing — so the strategy competes
-/// for the same candidate pool as its rivals.
+/// Unlike the engine's `K > 1` driver, the islands are not given upfront
+/// slices: in each step they draw, in index order, from the one budget the
+/// step is handed.
 pub struct GaSearchStrategy<'a, F: ?Sized> {
     ctx: SynthesisContext<'a, F>,
     islands: Vec<(Island, ChaCha8Rng)>,
@@ -81,7 +73,7 @@ impl<'a, F: FitnessFunction + ?Sized> GaSearchStrategy<'a, F> {
         seed: u64,
     ) -> Self {
         config.validate();
-        let ctx = SynthesisContext::new(config, spec, fitness, cache, None);
+        let ctx = SynthesisContext::new(config, spec, fitness, cache);
         let mut master = ChaCha8Rng::seed_from_u64(seed);
         let islands = (0..config.islands)
             .map(|_| {
@@ -120,25 +112,16 @@ impl<F: FitnessFunction + ?Sized> SearchStrategy for GaSearchStrategy<'_, F> {
         "ga-islands"
     }
 
-    fn step(&mut self, budget: &SharedBudget, cancel: &CancelToken) -> StepStatus {
-        if cancel.is_cancelled() {
-            return StepStatus::Done;
-        }
+    fn step(&mut self, budget: &mut SearchBudget) -> StepStatus {
         if !self.initialized {
             self.initialized = true;
             for (island, rng) in &mut self.islands {
-                if cancel.is_cancelled() {
-                    return StepStatus::Done;
-                }
-                island.initialize(&self.ctx, &mut budget.clone(), rng);
+                island.initialize(&self.ctx, budget, rng);
             }
         } else {
             for (island, rng) in &mut self.islands {
-                if cancel.is_cancelled() {
-                    return StepStatus::Done;
-                }
                 if island.status == IslandStatus::Active {
-                    island.step_generation(&self.ctx, &mut budget.clone(), rng);
+                    island.step_generation(&self.ctx, budget, rng);
                 }
             }
             self.global_generation += 1;
@@ -172,19 +155,6 @@ impl<F: FitnessFunction + ?Sized> SearchStrategy for GaSearchStrategy<'_, F> {
             .map(|(island, _)| island.evaluated)
             .sum()
     }
-
-    fn best_so_far(&self) -> Option<Program> {
-        let mut best: Option<(&Program, f64)> = None;
-        for (island, _) in &self.islands {
-            for gene in island.population.genes() {
-                let fitness = gene.fitness_or_zero();
-                if best.is_none_or(|(_, b)| fitness > b) {
-                    best = Some((&gene.program, fitness));
-                }
-            }
-        }
-        best.map(|(program, _)| program.clone())
-    }
 }
 
 /// The DFS neighborhood search as a steppable strategy: one
@@ -212,7 +182,7 @@ impl<'a, F: FitnessFunction + ?Sized> DfsSearchStrategy<'a, F> {
         cache: &'a FitnessCache,
         seeds: Vec<Program>,
     ) -> Self {
-        let ctx = SynthesisContext::new(config, spec, fitness, cache, None);
+        let ctx = SynthesisContext::new(config, spec, fitness, cache);
         let current_gene = seeds.first().cloned();
         DfsSearchStrategy {
             ctx,
@@ -231,8 +201,8 @@ impl<F: FitnessFunction + ?Sized> SearchStrategy for DfsSearchStrategy<'_, F> {
         "dfs-neighborhood"
     }
 
-    fn step(&mut self, budget: &SharedBudget, cancel: &CancelToken) -> StepStatus {
-        if cancel.is_cancelled() || self.exhausted {
+    fn step(&mut self, budget: &mut SearchBudget) -> StepStatus {
+        if self.exhausted {
             return StepStatus::Done;
         }
         let Some(current) = self.current_gene.clone() else {
@@ -254,7 +224,7 @@ impl<F: FitnessFunction + ?Sized> SearchStrategy for DfsSearchStrategy<'_, F> {
             self.ctx.spec,
             self.ctx.config.domain,
             self.ctx.fitness,
-            &mut budget.clone(),
+            budget,
             &self.ctx.memo,
             &self.ctx.traces,
             &mut self.evaluated,
@@ -275,10 +245,6 @@ impl<F: FitnessFunction + ?Sized> SearchStrategy for DfsSearchStrategy<'_, F> {
     fn candidates_evaluated(&self) -> usize {
         self.evaluated
     }
-
-    fn best_so_far(&self) -> Option<Program> {
-        self.current_gene.clone()
-    }
 }
 
 impl SearchStrategy for BeamSearch<'_> {
@@ -286,8 +252,8 @@ impl SearchStrategy for BeamSearch<'_> {
         "beam"
     }
 
-    fn step(&mut self, budget: &SharedBudget, cancel: &CancelToken) -> StepStatus {
-        match self.step_level(&mut budget.clone(), Some(cancel)) {
+    fn step(&mut self, budget: &mut SearchBudget) -> StepStatus {
+        match self.step_level(budget) {
             BeamStep::Solved(program) => StepStatus::Solved(program),
             BeamStep::Continue => StepStatus::Continue,
             BeamStep::Finished => StepStatus::Done,
@@ -296,10 +262,6 @@ impl SearchStrategy for BeamSearch<'_> {
 
     fn candidates_evaluated(&self) -> usize {
         self.evaluated()
-    }
-
-    fn best_so_far(&self) -> Option<Program> {
-        self.best_partial().cloned()
     }
 }
 
@@ -351,11 +313,10 @@ mod tests {
 
     fn run_to_completion<S: SearchStrategy + ?Sized>(
         strategy: &mut S,
-        budget: &SharedBudget,
+        budget: &mut SearchBudget,
     ) -> Option<Program> {
-        let cancel = CancelToken::new();
         loop {
-            match strategy.step(budget, &cancel) {
+            match strategy.step(budget) {
                 StepStatus::Solved(program) => return Some(program),
                 StepStatus::Continue => {}
                 StepStatus::Done => return None,
@@ -372,8 +333,8 @@ mod tests {
         let cache = FitnessCache::new();
         let mut strategy = GaSearchStrategy::new(&config, &spec, &oracle, &cache, 1);
         assert_eq!(strategy.name(), "ga-islands");
-        let budget = SharedBudget::new(200_000);
-        let solution = run_to_completion(&mut strategy, &budget);
+        let mut budget = SearchBudget::new(200_000);
+        let solution = run_to_completion(&mut strategy, &mut budget);
         let solution = solution.expect("oracle-guided GA finds the target");
         assert!(spec.is_satisfied_by(&solution));
         assert_eq!(strategy.candidates_evaluated(), budget.evaluated());
@@ -392,9 +353,10 @@ mod tests {
         ]);
         let mut strategy = DfsSearchStrategy::new(&config, &spec, &oracle, &cache, vec![one_off]);
         assert_eq!(strategy.name(), "dfs-neighborhood");
-        let budget = SharedBudget::new(100_000);
-        let solution = run_to_completion(&mut strategy, &budget);
+        let mut budget = SearchBudget::new(100_000);
+        let solution = run_to_completion(&mut strategy, &mut budget);
         assert!(spec.is_satisfied_by(&solution.expect("one replacement away")));
+        assert_eq!(strategy.candidates_evaluated(), budget.evaluated());
     }
 
     #[test]
@@ -409,36 +371,10 @@ mod tests {
             crate::BeamConfig::default(),
         );
         assert_eq!(SearchStrategy::name(&strategy), "beam");
-        let budget = SharedBudget::new(200_000);
-        let solution = run_to_completion(&mut strategy, &budget);
+        let mut budget = SearchBudget::new(200_000);
+        let solution = run_to_completion(&mut strategy, &mut budget);
         assert!(spec.is_satisfied_by(&solution.expect("informed beam solves")));
-    }
-
-    #[test]
-    fn a_fired_token_stops_every_strategy_at_the_next_step() {
-        let config = GaConfig::small(3);
-        let spec = spec();
-        let oracle = OracleFitness::new(target(), ClosenessMetric::CommonFunctions);
-        let cache = FitnessCache::new();
-        let seeds = random_seed_programs(&config, &spec, 2, 9);
-        let mut ga = GaSearchStrategy::new(&config, &spec, &oracle, &cache, 1);
-        let mut dfs = DfsSearchStrategy::new(&config, &spec, &oracle, &cache, seeds);
-        let mut beam = BeamSearch::new(
-            &spec,
-            netsyn_dsl::DomainId::List,
-            3,
-            ProbabilityMap::uniform(),
-            crate::BeamConfig::default(),
-        );
-        let strategies: Vec<&mut dyn SearchStrategy> = vec![&mut ga, &mut dfs, &mut beam];
-        let budget = SharedBudget::new(100_000);
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        for strategy in strategies {
-            assert_eq!(strategy.step(&budget, &cancel), StepStatus::Done);
-            assert_eq!(strategy.candidates_evaluated(), 0);
-        }
-        assert_eq!(budget.evaluated(), 0);
+        assert_eq!(strategy.candidates_evaluated(), budget.evaluated());
     }
 
     #[test]
@@ -455,13 +391,12 @@ mod tests {
             &cache,
             random_seed_programs(&config, &spec, 3, 4),
         );
-        let budget = SharedBudget::new(500);
-        let cancel = CancelToken::new();
+        let mut budget = SearchBudget::new(500);
         let mut strategies: Vec<&mut dyn SearchStrategy> = vec![&mut ga, &mut dfs];
         'race: loop {
             let mut all_done = true;
             for strategy in &mut strategies {
-                match strategy.step(&budget, &cancel) {
+                match strategy.step(&mut budget) {
                     StepStatus::Solved(_) => break 'race,
                     StepStatus::Continue => all_done = false,
                     StepStatus::Done => {}

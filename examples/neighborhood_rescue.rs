@@ -43,7 +43,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &SpecScores::default(),
         &TraceEncodingCache::new(),
         None,
-        None,
     );
     println!("BFS neighborhood of `{approximately_correct}`:");
     match &outcome.solution {
