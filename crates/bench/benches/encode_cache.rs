@@ -1,4 +1,4 @@
-//! Benchmarks of the persistent trace-value encoding cache under the batched
+//! Benchmarks of the cross-batch trace-value encoding cache under the batched
 //! scoring hot path (`BENCH_encode_cache.json` records these against the
 //! `BENCH_simd.json` cold record).
 //!

@@ -10,11 +10,13 @@
 //!   value runs through the step encoder (the no-`NETSYN_CACHE_DIR`
 //!   behavior, and the behavior after any corruption fallback);
 //! * `durable_open` — just [`FitnessCache::durable`] over a directory
-//!   holding this workload's persisted scores and encodings: the pure boot
-//!   cost of decoding and verifying the record logs;
-//! * `warm_boot` — open the durable cache from disk *and* score the
-//!   population: the end-to-end restart path, where every trace value is
-//!   served from the loaded shard and the step encoder never runs.
+//!   holding this workload's persisted scores: the pure boot cost of
+//!   decoding and verifying the score log;
+//! * `warm_boot` — open the durable cache from disk *and* look the
+//!   population up in the loaded score shard with
+//!   [`SpecScores::get_many`](netsyn_fitness::SpecScores::get_many): the
+//!   path the engine takes on a restart, where every candidate hits and the
+//!   network never runs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use netsyn_dsl::{Generator, GeneratorConfig, Program};
@@ -53,8 +55,8 @@ fn bench_warm_start(c: &mut Criterion) {
         .map(|_| generator.random_program(&mut rng))
         .collect();
 
-    // Persist this workload's scores and trace encodings once, so the
-    // warm-boot benchmarks restart from a realistic directory.
+    // Persist this workload's scores once, so the warm-boot benchmarks
+    // restart from a realistic directory.
     let dir = std::env::temp_dir().join(format!("netsyn_warm_start_bench_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
@@ -82,21 +84,22 @@ fn bench_warm_start(c: &mut Criterion) {
         });
     });
 
-    // Boot cost alone: decode + CRC-verify both record logs into memory.
+    // Boot cost alone: decode + CRC-verify the score log into memory.
     group.bench_function("durable_open", |bench| {
         bench.iter(|| black_box(FitnessCache::durable(&dir).expect("reopen")));
     });
 
-    // Warm boot: open from disk and score — the restart path end to end.
+    // Warm boot: open from disk and look the population up — the restart
+    // path end to end.
     group.bench_function(format!("warm_boot_score_{POPULATION}"), |bench| {
         bench.iter(|| {
             let cache = FitnessCache::durable(&dir).expect("reopen");
-            let traces = cache.trace_shard(&fitness.cache_key());
-            let scores = fitness.score_batch_cached(black_box(&population), &spec, &traces);
-            assert_eq!(
-                traces.encode_count(),
-                0,
-                "a warm boot must serve every trace value from disk"
+            let scores = cache
+                .shard(&fitness.cache_key(), &spec)
+                .get_many(black_box(&population));
+            assert!(
+                scores.iter().all(Option::is_some),
+                "a warm boot must serve every score from disk"
             );
             black_box(scores)
         });

@@ -100,9 +100,9 @@ pub struct MethodEvaluation {
 /// deadlock — see `netsyn_fitness::cache::resolve_score`), so results and
 /// per-run trajectories are independent of the thread count.
 ///
-/// Setting `NETSYN_CACHE_DIR` makes the cache **durable**: scores and trace
-/// encodings persisted by earlier processes are loaded at startup (warm
-/// start), new ones are flushed back periodically and at the end of the
+/// Setting `NETSYN_CACHE_DIR` makes the score cache **durable**: scores
+/// persisted by earlier processes are loaded at startup (warm start), new
+/// ones are flushed back periodically and at the end of the
 /// evaluation, and a restarted harness reproduces byte-identical search
 /// trajectories from disk. Durability is strictly opt-in and fails toward
 /// cold — an unreadable directory or damaged log degrades to the in-memory
@@ -183,10 +183,9 @@ fn durable_cache_from_env() -> Option<FitnessCache> {
         Ok(cache) => {
             if let Some(report) = cache.load_report() {
                 eprintln!(
-                    "netsyn: durable cache at {}: {} score entries, {} trace entries loaded",
+                    "netsyn: durable cache at {}: {} score entries loaded",
                     std::path::Path::new(&dir).display(),
                     report.score_entries,
-                    report.trace_entries,
                 );
             }
             Some(cache)

@@ -51,9 +51,7 @@
 //!   (see [`resolve_score`]).
 
 use crate::encoding::TraceEncodingCache;
-use crate::persist::{
-    DurableOptions, DurableStore, FlushStats, LoadReport, ScoreSnapshot, TraceSnapshot,
-};
+use crate::persist::{DurableOptions, DurableStore, FlushStats, LoadReport, ScoreSnapshot};
 use crate::sync::{lock_recovering, read_recovering, wait_recovering, write_recovering};
 use crate::sync::{Condvar, Mutex};
 use netsyn_dsl::{IoSpec, Program};
@@ -570,13 +568,14 @@ pub struct FitnessCache {
     /// Trace-value encoding shards, keyed by fitness key alone: a trace
     /// value's encoding depends on the model's weights but *not* on the
     /// specification, so one shard serves every spec scored by the same
-    /// fitness function.
+    /// fitness function. They live in memory only; the durable tier
+    /// persists scores.
     traces: RwLock<HashMap<String, Arc<TraceEncodingCache>>>,
     /// The durable tier, present only on caches opened with
     /// [`FitnessCache::durable`]. Plain in-memory caches pay nothing.
     store: OnceLock<Arc<DurableStore>>,
-    /// Whether new shards keep dirty lists for the durable tier to drain
-    /// (set on durable caches only).
+    /// Whether new score shards keep dirty lists for the durable tier to
+    /// drain (set on durable caches only).
     recording: bool,
 }
 
@@ -587,10 +586,10 @@ impl FitnessCache {
         FitnessCache::default()
     }
 
-    /// Opens a **durable** cache over `dir`: every surviving entry of the
-    /// directory's record logs is loaded (warm start), and
+    /// Opens a **durable** cache over `dir`: every surviving score in the
+    /// directory's record log is loaded (warm start), and
     /// [`FitnessCache::flush`] / [`FitnessCache::maybe_periodic_flush`] /
-    /// drop append new entries back. Recovery is graceful — damaged
+    /// drop append new scores back. Recovery is graceful — damaged
     /// suffixes are dropped, unreadable files are quarantined (renamed,
     /// never deleted), and on any doubt the affected shard starts cold;
     /// see [`crate::persist`] for the full contract.
@@ -633,15 +632,14 @@ impl FitnessCache {
         self.store.get().map(|store| store.report())
     }
 
-    /// Synchronously flush every entry published since the last flush to
+    /// Synchronously flush every score published since the last flush to
     /// disk (append + fsync). Returns what was appended; `None` for in-memory
     /// caches. I/O failure degrades the store to memory-only with a
     /// warning — it never panics and never corrupts the log.
     pub fn flush(&self) -> Option<FlushStats> {
         let store = self.store.get()?;
         store.join_flusher();
-        let (scores, traces) = self.snapshots();
-        Some(store.flush_snapshots(&scores, &traces))
+        Some(store.flush_snapshots(&self.snapshots()))
     }
 
     /// Ticks the periodic-flush clock (the GA engine calls this once per
@@ -653,45 +651,32 @@ impl FitnessCache {
             return;
         };
         if store.tick() {
-            let (scores, traces) = self.snapshots();
-            store.flush_async(scores, traces);
+            store.flush_async(self.snapshots());
         }
     }
 
-    /// Rewrites the backing logs from the full in-memory content (atomic
+    /// Rewrites the backing log from the full in-memory scores (atomic
     /// replace), dropping any accumulated append-only redundancy and
     /// clearing a broken-store condition. `None` for in-memory caches.
     pub fn compact(&self) -> Option<std::io::Result<()>> {
         let store = self.store.get()?;
         store.join_flusher();
-        let (scores, traces) = self.snapshots();
-        Some(store.compact(&scores, &traces))
+        Some(store.compact(&self.snapshots()))
     }
 
-    /// Cheap `Arc` snapshots of every shard, for the durable tier.
-    fn snapshots(&self) -> (ScoreSnapshot, TraceSnapshot) {
+    /// Cheap `Arc` snapshots of every score shard, for the durable tier.
+    fn snapshots(&self) -> ScoreSnapshot {
         let mut scores: ScoreSnapshot = Vec::new();
-        {
-            let shards = read_recovering(&self.shards);
-            for (key, specs) in shards.iter() {
-                for (spec, shard) in specs.iter() {
-                    scores.push((key.clone(), spec.clone(), Arc::clone(shard)));
-                }
-            }
-        }
-        let mut traces: Vec<(String, Arc<TraceEncodingCache>)> = Vec::new();
-        {
-            let map = read_recovering(&self.traces);
-            for (key, shard) in map.iter() {
-                traces.push((key.clone(), Arc::clone(shard)));
+        for (key, specs) in read_recovering(&self.shards).iter() {
+            for (spec, shard) in specs.iter() {
+                scores.push((key.clone(), spec.clone(), Arc::clone(shard)));
             }
         }
         // Deterministic flush order, so identical runs write identical
         // bytes (IoSpec has no Ord; its derived Debug form shows every
         // example and is injective, which is all an order key needs).
         scores.sort_by_cached_key(|(key, spec, _)| (key.clone(), format!("{spec:?}")));
-        traces.sort_by(|a, b| a.0.cmp(&b.0));
-        (scores, traces)
+        scores
     }
 
     /// The score shard for one `(fitness, spec)` pair, created on first use.
@@ -745,7 +730,7 @@ impl FitnessCache {
         if let Some(shard) = traces.get(fitness_key) {
             return Arc::clone(shard);
         }
-        let shard = Arc::new(TraceEncodingCache::with_dirty_lists(self.recording));
+        let shard = Arc::new(TraceEncodingCache::new());
         traces.insert(fitness_key.to_string(), Arc::clone(&shard));
         shard
     }
@@ -881,7 +866,6 @@ mod tests {
     fn in_memory_shards_keep_no_dirty_entries() {
         let cache = FitnessCache::new();
         let shard = cache.shard("nn-CF", &spec(1));
-        let traces = cache.trace_shard("nn-CF");
         for (i, &f) in Function::ALL.iter().enumerate() {
             for &g in &Function::ALL[..8] {
                 shard.insert(Program::new(vec![f, g]), i as f64);
@@ -889,15 +873,12 @@ mod tests {
             let claimed = vec![Program::new(vec![f, f, f])];
             assert_eq!(shard.claim_many(&claimed), vec![Claim::Claimed]);
             shard.publish_many(&claimed, &[0.5]);
-            let tokens = [i, i + 1];
-            let _ = traces.publish_many(vec![(&tokens[..], vec![i as f32].into())]);
         }
-        assert!(shard.len() > 100 && traces.len() == Function::ALL.len());
+        assert!(shard.len() > 100);
         for stripe in &shard.stripes {
             assert!(lock_recovering(&stripe.slots).dirty.is_none());
         }
         assert!(shard.drain_dirty().is_empty());
-        assert!(traces.drain_dirty().is_empty());
     }
 
     #[test]

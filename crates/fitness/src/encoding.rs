@@ -33,7 +33,6 @@ use crate::sync::Mutex;
 use netsyn_dsl::{DomainId, IoExample, IoSpec, Program, TraceArena, Value};
 use netsyn_nn::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -396,7 +395,7 @@ impl Deserialize for SpecEncodingCache {
     }
 }
 
-/// A persistent, shareable memo of trace-*value* encodings: the step
+/// A long-lived, shareable memo of trace-*value* encodings: the step
 /// encoder's final hidden state for each distinct trace-value token
 /// sequence.
 ///
@@ -439,18 +438,17 @@ pub struct TraceEncodingCache {
 const TRACE_STRIPES: usize = 16;
 
 /// One stripe's storage: trace-value token sequence → step-encoder final
-/// hidden state (shared zero-copy with every batch that reads it), plus —
-/// on shards of a durable cache — the dirty list of entries first published
-/// since the durable tier last drained it.
-#[derive(Debug)]
-struct TraceStripe {
-    slots: FxHashMap<Box<[usize]>, Arc<[f32]>>,
-    dirty: Option<Vec<TraceEntry>>,
-}
+/// hidden state (shared zero-copy with every batch that reads it).
+type TraceStripe = FxHashMap<Box<[usize]>, Arc<[f32]>>;
 
 impl Default for TraceEncodingCache {
     fn default() -> Self {
-        TraceEncodingCache::with_dirty_lists(false)
+        TraceEncodingCache {
+            stripes: (0..TRACE_STRIPES)
+                .map(|_| Mutex::new(TraceStripe::default()))
+                .collect(),
+            encodes: AtomicUsize::new(0),
+        }
     }
 }
 
@@ -459,22 +457,6 @@ impl TraceEncodingCache {
     #[must_use]
     pub fn new() -> Self {
         TraceEncodingCache::default()
-    }
-
-    /// An empty cache; with `recording`, its stripes keep dirty lists for
-    /// the durable tier to drain.
-    pub(crate) fn with_dirty_lists(recording: bool) -> Self {
-        TraceEncodingCache {
-            stripes: (0..TRACE_STRIPES)
-                .map(|_| {
-                    Mutex::new(TraceStripe {
-                        slots: FxHashMap::default(),
-                        dirty: recording.then(Vec::new),
-                    })
-                })
-                .collect(),
-            encodes: AtomicUsize::new(0),
-        }
     }
 
     fn stripe_of(tokens: &[usize]) -> usize {
@@ -489,7 +471,7 @@ impl TraceEncodingCache {
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|stripe| lock_recovering(stripe).slots.len())
+            .map(|stripe| lock_recovering(stripe).len())
             .sum()
     }
 
@@ -524,7 +506,7 @@ impl TraceEncodingCache {
             }
             let stripe = lock_recovering(stripe);
             for index in indices {
-                out[index] = stripe.slots.get(keys[index]).map(Arc::clone);
+                out[index] = stripe.get(keys[index]).map(Arc::clone);
             }
         }
         out
@@ -548,19 +530,12 @@ impl TraceEncodingCache {
                 continue;
             }
             let mut stripe = lock_recovering(stripe);
-            let TraceStripe { slots, dirty } = &mut *stripe;
             for index in indices {
                 let (key, hidden) = &entries[index];
-                let canonical = match slots.entry((*key).into()) {
-                    Entry::Occupied(slot) => Arc::clone(slot.get()),
-                    Entry::Vacant(slot) => {
-                        if let Some(dirty) = dirty.as_mut() {
-                            dirty.push((slot.key().clone(), Arc::clone(hidden)));
-                        }
-                        Arc::clone(slot.insert(Arc::clone(hidden)))
-                    }
-                };
-                out[index] = Some(canonical);
+                let canonical = stripe
+                    .entry((*key).into())
+                    .or_insert_with(|| Arc::clone(hidden));
+                out[index] = Some(Arc::clone(canonical));
             }
         }
         out.into_iter()
@@ -568,65 +543,9 @@ impl TraceEncodingCache {
             .collect()
     }
 
-    /// Caches entries read back from disk: first write wins, nothing goes
-    /// on the dirty list (they are never appended again), and the encode
-    /// counter is not bumped (loaded entries are hits, not misses).
-    pub(crate) fn insert_loaded(&self, entries: Vec<TraceEntry>) {
-        for (tokens, hidden) in entries {
-            let stripe = &self.stripes[Self::stripe_of(&tokens)];
-            lock_recovering(stripe)
-                .slots
-                .entry(tokens)
-                .or_insert(hidden);
-        }
-    }
-
     /// Records `n` step-encoder runs (cache misses).
     pub(crate) fn record_encodes(&self, n: usize) {
         self.encodes.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// One durable trace-cache entry: a trace-value token sequence and the step
-/// encoder's final hidden state for it.
-pub(crate) type TraceEntry = (Box<[usize]>, Arc<[f32]>);
-
-impl TraceEncodingCache {
-    /// Every cached `(tokens, hidden state)` entry, in a deterministic
-    /// order — the full image the durable tier compacts to. Clears the
-    /// dirty lists under the same stripe locks, so every entry lands either
-    /// in this export or in a later [`TraceEncodingCache::drain_dirty`],
-    /// never both.
-    pub(crate) fn export(&self) -> Vec<TraceEntry> {
-        let mut out = Vec::new();
-        for stripe in &self.stripes {
-            let mut stripe = lock_recovering(stripe);
-            if let Some(dirty) = &mut stripe.dirty {
-                dirty.clear();
-            }
-            out.extend(
-                stripe
-                    .slots
-                    .iter()
-                    .map(|(tokens, hidden)| (tokens.clone(), Arc::clone(hidden))),
-            );
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Takes the entries first published since the last drain, in
-    /// [`TraceEncodingCache::export`] order — the delta a durable flush
-    /// appends. Always empty on caches that keep no dirty list.
-    pub(crate) fn drain_dirty(&self) -> Vec<TraceEntry> {
-        let mut out = Vec::new();
-        for stripe in &self.stripes {
-            if let Some(dirty) = &mut lock_recovering(stripe).dirty {
-                out.append(dirty);
-            }
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 }
 
@@ -903,13 +822,12 @@ mod tests {
         });
         assert!(stripe.is_poisoned());
 
-        // Reads, writes and exports all recover the guard and proceed.
+        // Reads, writes and counts all recover the guard and proceed.
         let hit = cache.get_many(&[&tokens[..]]);
         assert!(Arc::ptr_eq(hit[0].as_ref().expect("still cached"), &hidden));
         let fresh: Vec<usize> = vec![7, 8];
         let _ = cache.publish_many(vec![(&fresh[..], vec![3.0f32].into())]);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.export().len(), 2);
     }
 
     #[test]

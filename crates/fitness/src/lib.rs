@@ -86,16 +86,18 @@
 //!
 //! ## The durable cache tier
 //!
-//! Both reuse layers can outlive the process: a cache opened with
-//! [`FitnessCache::durable`] loads previously persisted scores and trace
-//! encodings at startup (merged first-write-wins, exactly like in-flight
-//! publications) and appends new entries back to checksummed record logs
-//! — `scores.nsl` and `traces.nsl` under the chosen directory
-//! (`NETSYN_CACHE_DIR` in the evaluation harness and examples). Floats
-//! round-trip as raw bit patterns, and shard keys embed the model's
-//! weight fingerprint on disk exactly as in memory, so a warm-from-disk
-//! restart reproduces byte-identical search trajectories and
-//! cross-checkpoint aliasing stays impossible.
+//! Scores can outlive the process: a cache opened with
+//! [`FitnessCache::durable`] loads previously persisted scores at startup
+//! (merged first-write-wins, exactly like in-flight publications) and
+//! appends new ones back to a checksummed record log, `scores.nsl` under
+//! the chosen directory (`NETSYN_CACHE_DIR` in the evaluation harness and
+//! examples). Scores round-trip as raw bit patterns, and shard keys embed
+//! the model's weight fingerprint on disk exactly as in memory, so a
+//! warm-from-disk restart reproduces byte-identical search trajectories
+//! and cross-checkpoint aliasing stays impossible. A restarted identical
+//! search hits the score cache on every candidate, so the network never
+//! runs; trace-value encodings therefore stay in memory, and a
+//! `traces.nsl` left by an earlier build is ignored (safe to delete).
 //!
 //! The tier is built to *fail toward cold, never toward wrong*: torn or
 //! bit-flipped record suffixes are dropped at the first CRC failure,

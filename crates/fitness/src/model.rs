@@ -319,7 +319,7 @@ impl FitnessNet {
         self.predict_batch_with(spec, candidates, &TraceEncodingCache::new())
     }
 
-    /// [`FitnessNet::predict_batch`] with a persistent [`TraceEncodingCache`]:
+    /// [`FitnessNet::predict_batch`] with a long-lived [`TraceEncodingCache`]:
     /// trace values whose step-encoder hidden state was computed by an
     /// earlier batch — a previous GA generation, or a previous run of the
     /// same task sharing the cache — are served from the memo, and only the

@@ -1,20 +1,21 @@
 //! The durable cache tier: crash-safe persistence of [`FitnessCache`]
-//! score shards and trace-encoding shards on top of the `netsyn_persist`
-//! record log.
+//! score shards on top of the `netsyn_persist` record log.
 //!
 //! ## On-disk layout
 //!
 //! A cache directory (`NETSYN_CACHE_DIR`, or any path given to
-//! [`FitnessCache::durable`]) holds two append-only logs:
+//! [`FitnessCache::durable`]) holds one append-only log, `scores.nsl`:
+//! batches of published fitness scores. Each record is
+//! `fitness_key ‖ spec ‖ n ‖ n × (program_ids, f64_bits)`.
 //!
-//! * `scores.nsl` — batches of published fitness scores. Each record is
-//!   `fitness_key ‖ spec ‖ n ‖ n × (program_ids, f64_bits)`;
-//! * `traces.nsl` — batches of trace-value encodings. Each record is
-//!   `fitness_key ‖ n ‖ n × (tokens, f32_bits…)`.
+//! Trace-value encodings are not persisted: the trace shards of
+//! [`FitnessCache::trace_shard`] live in memory only. A `traces.nsl` file
+//! left by an earlier build, which did persist them, is ignored — never
+//! read, renamed or deleted — and is safe to remove.
 //!
-//! Floats are stored as raw bit patterns, so persisted values round-trip
+//! Scores are stored as raw bit patterns, so persisted values round-trip
 //! **bit-exactly** (NaN payloads included) — the foundation of the
-//! warm-restart determinism guarantee. Every file opens with the
+//! warm-restart determinism guarantee. The file opens with the
 //! `netsyn_persist` log header whose application payload is
 //! `kind ‖ codec_version ‖ domain_name ‖ vocab_fingerprint`; a file whose
 //! header names a different kind, codec, domain, or DSL vocabulary
@@ -30,12 +31,12 @@
 //! Loading is paranoid and graceful — corruption can cost warmth, never
 //! correctness:
 //!
-//! * a missing or empty file starts a cold shard (a crash between file
+//! * a missing or empty file starts a cold cache (a crash between file
 //!   creation and the first flush is indistinguishable from "no cache");
 //! * a torn or bit-flipped record suffix is dropped at the first failing
 //!   CRC; the surviving prefix is loaded and the file is compacted in
 //!   place (atomic tmp-file + rename replace);
-//! * an unreadable file — bad magic, damaged header, wrong format or
+//! * an unreadable file — bad magic, damaged header, wrong kind, format or
 //!   codec version, wrong DSL vocabulary — is **quarantined**: renamed to
 //!   `<name>.quarantined[-k]` with a warning, never deleted, and a fresh
 //!   log takes its place;
@@ -45,11 +46,11 @@
 //!
 //! ## Flushing appends only the delta
 //!
-//! Every shard of a durable cache keeps per-stripe *dirty lists*: a publish
-//! that first fills a slot pushes the entry, and entries loaded from disk
-//! are never queued. A flush drains the lists and appends one record per
-//! shard with new entries, so it costs O(entries published since the last
-//! flush), not O(cache size), and each entry reaches disk once
+//! Every score shard of a durable cache keeps per-stripe *dirty lists*: a
+//! publish that first fills a slot pushes the entry, and entries loaded
+//! from disk are never queued. A flush drains the lists and appends one
+//! record per shard with new entries, so it costs O(entries published since
+//! the last flush), not O(cache size), and each entry reaches disk once
 //! (first-write-wins on disk, mirroring the in-memory rule). Flushes sync
 //! with `fdatasync` and can run asynchronously on a background thread — at
 //! most one in flight, joined before the owning cache drops. A broken store
@@ -57,7 +58,6 @@
 //! image, which also clears the lists, and recovers the store.
 
 use crate::cache::{FitnessCache, SpecScores};
-use crate::encoding::{TraceEncodingCache, TraceEntry};
 use crate::sync::lock_recovering;
 use crate::sync::Mutex;
 use netsyn_dsl::{DomainId, IoSpec, Program, Value};
@@ -72,13 +72,9 @@ use std::sync::{Arc, Once};
 
 /// File name of the score log inside a cache directory.
 pub const SCORES_FILE: &str = "scores.nsl";
-/// File name of the trace-encoding log inside a cache directory.
-pub const TRACES_FILE: &str = "traces.nsl";
 
 /// Header kind string of the score log.
 const SCORES_KIND: &str = "netsyn-fitness/scores";
-/// Header kind string of the trace-encoding log.
-const TRACES_KIND: &str = "netsyn-fitness/traces";
 
 /// Version of the record payload codec (bumped on any payload change;
 /// readers quarantine files with any other value). Version 2 replaced the
@@ -146,8 +142,6 @@ impl Default for DurableOptions {
 pub struct FlushStats {
     /// Newly persisted `(program, score)` entries.
     pub score_entries: usize,
-    /// Newly persisted trace-encoding entries.
-    pub trace_entries: usize,
 }
 
 /// What loading a cache directory found — the test-visible summary of the
@@ -156,7 +150,8 @@ pub struct FlushStats {
 pub struct LoadReport {
     /// `(program, score)` entries loaded into score shards.
     pub score_entries: usize,
-    /// Trace-encoding entries loaded into trace shards.
+    /// Always 0: trace encodings are no longer persisted (see the module
+    /// docs). Kept only so existing readers of the field still build.
     pub trace_entries: usize,
     /// Files moved aside because they could not be trusted at all.
     pub quarantined: Vec<PathBuf>,
@@ -168,15 +163,8 @@ pub struct LoadReport {
     pub skipped_records: usize,
 }
 
-/// Cache content snapshots handed to the flusher (cheap `Arc` clones).
+/// Score shard snapshots handed to the flusher (cheap `Arc` clones).
 pub(crate) type ScoreSnapshot = Vec<(String, IoSpec, Arc<SpecScores>)>;
-pub(crate) type TraceSnapshot = Vec<(String, Arc<TraceEncodingCache>)>;
-
-#[derive(Debug, Default)]
-struct StoreInner {
-    scores_writer: Option<LogWriter>,
-    traces_writer: Option<LogWriter>,
-}
 
 /// The persistence engine behind a durable [`FitnessCache`] (see the
 /// module docs for the format and the contract).
@@ -190,14 +178,15 @@ pub(crate) struct DurableStore {
     /// Set on the first flush I/O error: the store degrades to
     /// memory-only for the rest of the process.
     broken: AtomicBool,
-    inner: Mutex<StoreInner>,
+    /// The score log's append writer, opened on the first append.
+    writer: Mutex<Option<LogWriter>>,
     flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
     report: LoadReport,
 }
 
 impl DurableStore {
-    /// Open (and recover) the logs under `dir`, loading every surviving
-    /// entry into `cache`.
+    /// Open (and recover) the score log under `dir`, loading every
+    /// surviving entry into `cache`.
     pub(crate) fn open(
         dir: &Path,
         options: DurableOptions,
@@ -205,13 +194,7 @@ impl DurableStore {
     ) -> io::Result<Arc<DurableStore>> {
         std::fs::create_dir_all(dir)?;
         let mut report = LoadReport::default();
-
-        for record in load_log_file(
-            &dir.join(SCORES_FILE),
-            SCORES_KIND,
-            options.domain,
-            &mut report,
-        ) {
+        for record in load_log_file(&dir.join(SCORES_FILE), options.domain, &mut report) {
             match decode_scores_record(&record) {
                 Ok((key, spec, entries)) => {
                     report.score_entries += entries.len();
@@ -227,27 +210,6 @@ impl DurableStore {
             }
         }
 
-        for record in load_log_file(
-            &dir.join(TRACES_FILE),
-            TRACES_KIND,
-            options.domain,
-            &mut report,
-        ) {
-            match decode_traces_record(&record) {
-                Ok((key, entries)) => {
-                    report.trace_entries += entries.len();
-                    cache.trace_shard(&key).insert_loaded(entries);
-                }
-                Err(reason) => {
-                    report.skipped_records += 1;
-                    warn(&format!(
-                        "skipping undecodable trace record in {}: {reason}",
-                        dir.join(TRACES_FILE).display()
-                    ));
-                }
-            }
-        }
-
         Ok(Arc::new(DurableStore {
             dir: dir.to_path_buf(),
             flush_every: options.flush_every.max(1),
@@ -255,7 +217,7 @@ impl DurableStore {
             domain: options.domain,
             tick: AtomicUsize::new(0),
             broken: AtomicBool::new(false),
-            inner: Mutex::new(StoreInner::default()),
+            writer: Mutex::new(None),
             flusher: Mutex::new(None),
             report,
         }))
@@ -275,11 +237,7 @@ impl DurableStore {
     }
 
     /// Drain the snapshots' dirty lists and append the entries, then sync.
-    pub(crate) fn flush_snapshots(
-        &self,
-        scores: &ScoreSnapshot,
-        traces: &TraceSnapshot,
-    ) -> FlushStats {
+    pub(crate) fn flush_snapshots(&self, scores: &ScoreSnapshot) -> FlushStats {
         let mut stats = FlushStats::default();
         if self.broken.load(Ordering::Relaxed) {
             // Memory-only until a compaction succeeds: drop the delta rather
@@ -287,19 +245,14 @@ impl DurableStore {
             for (_, _, shard) in scores {
                 drop(shard.drain_dirty());
             }
-            for (_, shard) in traces {
-                drop(shard.drain_dirty());
-            }
             return stats;
         }
-        let mut inner = lock_recovering(&self.inner);
-        let result = self.append_deltas(&mut inner, scores, traces, &mut stats);
-        if let Err(err) = result {
+        let mut writer = lock_recovering(&self.writer);
+        if let Err(err) = self.append_deltas(&mut writer, scores, &mut stats) {
             // Degrade to memory-only: correctness never depends on the
             // durable tier, so a full disk costs warmth, not results.
             self.broken.store(true, Ordering::Relaxed);
-            inner.scores_writer = None;
-            inner.traces_writer = None;
+            *writer = None;
             warn(&format!(
                 "flush to {} failed ({err}); cache continues memory-only",
                 self.dir.display()
@@ -310,64 +263,45 @@ impl DurableStore {
 
     fn append_deltas(
         &self,
-        inner: &mut StoreInner,
+        slot: &mut Option<LogWriter>,
         scores: &ScoreSnapshot,
-        traces: &TraceSnapshot,
         stats: &mut FlushStats,
     ) -> io::Result<()> {
-        let mut scores_dirty = false;
         for (key, spec, shard) in scores {
             let fresh = shard.drain_dirty();
             if fresh.is_empty() {
                 continue;
             }
             let record = encode_scores_record(key, spec, &fresh);
-            let writer = open_writer(
-                &mut inner.scores_writer,
-                &self.dir.join(SCORES_FILE),
-                SCORES_KIND,
-                self.domain,
-                self.fault,
-            )?;
-            writer.append(&record)?;
-            scores_dirty = true;
+            self.open_writer(slot)?.append(&record)?;
             stats.score_entries += fresh.len();
         }
-        if scores_dirty {
-            if let Some(writer) = inner.scores_writer.as_mut() {
-                writer.sync()?;
-            }
-        }
-
-        let mut traces_dirty = false;
-        for (key, shard) in traces {
-            let fresh = shard.drain_dirty();
-            if fresh.is_empty() {
-                continue;
-            }
-            let record = encode_traces_record(key, &fresh);
-            let writer = open_writer(
-                &mut inner.traces_writer,
-                &self.dir.join(TRACES_FILE),
-                TRACES_KIND,
-                self.domain,
-                self.fault,
-            )?;
-            writer.append(&record)?;
-            traces_dirty = true;
-            stats.trace_entries += fresh.len();
-        }
-        if traces_dirty {
-            if let Some(writer) = inner.traces_writer.as_mut() {
+        if stats.score_entries > 0 {
+            if let Some(writer) = slot.as_mut() {
                 writer.sync()?;
             }
         }
         Ok(())
     }
 
+    /// Open (lazily) the score log's append writer, with the test fault
+    /// plan applied when present.
+    fn open_writer<'a>(&self, slot: &'a mut Option<LogWriter>) -> io::Result<&'a mut LogWriter> {
+        if slot.is_none() {
+            let path = self.dir.join(SCORES_FILE);
+            let header = encode_app_header(self.domain);
+            let writer = match self.fault {
+                Some(plan) => LogWriter::new(Box::new(FaultyFile::create(&path, plan)), header)?,
+                None => LogWriter::new(Box::new(FileStorage::open(&path)?), header)?,
+            };
+            *slot = Some(writer);
+        }
+        Ok(slot.as_mut().expect("writer just installed"))
+    }
+
     /// Kick off a background flush of the snapshots; skipped (the next
     /// tick retries) when one is already in flight.
-    pub(crate) fn flush_async(self: &Arc<Self>, scores: ScoreSnapshot, traces: TraceSnapshot) {
+    pub(crate) fn flush_async(self: &Arc<Self>, scores: ScoreSnapshot) {
         let mut flusher = lock_recovering(&self.flusher);
         if let Some(handle) = flusher.take() {
             if !handle.is_finished() {
@@ -381,7 +315,7 @@ impl DurableStore {
         // scoring thread's helping loop.
         let store = Arc::clone(self);
         *flusher = Some(std::thread::spawn(move || {
-            let _ = store.flush_snapshots(&scores, &traces);
+            let _ = store.flush_snapshots(&scores);
         }));
     }
 
@@ -393,44 +327,26 @@ impl DurableStore {
         }
     }
 
-    /// Rewrite both logs from the full snapshots (atomic replace), resetting
-    /// the append state and the dirty lists. Clears the broken flag on
-    /// success — compaction is the recovery path after, say, a transiently
-    /// full disk. A failure marks the store broken: the exports already
-    /// cleared dirty lists, so appending could no longer catch up.
-    pub(crate) fn compact(&self, scores: &ScoreSnapshot, traces: &TraceSnapshot) -> io::Result<()> {
-        let mut inner = lock_recovering(&self.inner);
-        inner.scores_writer = None;
-        inner.traces_writer = None;
-        let result = self.rewrite_logs(scores, traces);
-        self.broken.store(result.is_err(), Ordering::Relaxed);
-        result
-    }
-
-    fn rewrite_logs(&self, scores: &ScoreSnapshot, traces: &TraceSnapshot) -> io::Result<()> {
-        let mut scores_bytes =
-            netsyn_persist::log::encode_header(&encode_app_header(SCORES_KIND, self.domain));
+    /// Rewrite the score log from the full snapshots (atomic replace),
+    /// resetting the append state and the dirty lists. Clears the broken
+    /// flag on success — compaction is the recovery path after, say, a
+    /// transiently full disk. A failure marks the store broken: the exports
+    /// already cleared dirty lists, so appending could no longer catch up.
+    pub(crate) fn compact(&self, scores: &ScoreSnapshot) -> io::Result<()> {
+        let mut writer = lock_recovering(&self.writer);
+        *writer = None;
+        let mut bytes = netsyn_persist::log::encode_header(&encode_app_header(self.domain));
         for (key, spec, shard) in scores {
             let exported = shard.export();
             if exported.is_empty() {
                 continue;
             }
             let record = encode_scores_record(key, spec, &exported);
-            scores_bytes.extend_from_slice(&netsyn_persist::log::encode_record(&record));
+            bytes.extend_from_slice(&netsyn_persist::log::encode_record(&record));
         }
-        persist_dir::atomic_replace(&self.dir.join(SCORES_FILE), &scores_bytes)?;
-
-        let mut traces_bytes =
-            netsyn_persist::log::encode_header(&encode_app_header(TRACES_KIND, self.domain));
-        for (key, shard) in traces {
-            let exported = shard.export();
-            if exported.is_empty() {
-                continue;
-            }
-            let record = encode_traces_record(key, &exported);
-            traces_bytes.extend_from_slice(&netsyn_persist::log::encode_record(&record));
-        }
-        persist_dir::atomic_replace(&self.dir.join(TRACES_FILE), &traces_bytes)
+        let result = persist_dir::atomic_replace(&self.dir.join(SCORES_FILE), &bytes);
+        self.broken.store(result.is_err(), Ordering::Relaxed);
+        result
     }
 }
 
@@ -438,34 +354,9 @@ fn warn(message: &str) {
     eprintln!("netsyn-fitness durable cache: {message}");
 }
 
-/// Open (lazily) the append writer for one log file, with the test fault
-/// plan applied when present.
-fn open_writer<'a>(
-    slot: &'a mut Option<LogWriter>,
-    path: &Path,
-    kind: &str,
-    domain: DomainId,
-    fault: Option<FaultPlan>,
-) -> io::Result<&'a mut LogWriter> {
-    if slot.is_none() {
-        let header = encode_app_header(kind, domain);
-        let writer = match fault {
-            Some(plan) => LogWriter::new(Box::new(FaultyFile::create(path, plan)), header)?,
-            None => LogWriter::new(Box::new(FileStorage::open(path)?), header)?,
-        };
-        *slot = Some(writer);
-    }
-    Ok(slot.as_mut().expect("writer just installed"))
-}
-
-/// Load one log file: quarantine what cannot be trusted, compact away
+/// Load the score log: quarantine what cannot be trusted, compact away
 /// damaged suffixes, and return the surviving record payloads.
-fn load_log_file(
-    path: &Path,
-    kind: &str,
-    domain: DomainId,
-    report: &mut LoadReport,
-) -> Vec<Vec<u8>> {
+fn load_log_file(path: &Path, domain: DomainId, report: &mut LoadReport) -> Vec<Vec<u8>> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(err) if err.kind() == io::ErrorKind::NotFound => return Vec::new(),
@@ -488,7 +379,7 @@ fn load_log_file(
         // Zero-length file: a crash between create and first write.
         return Vec::new();
     };
-    if let Err(reason) = check_app_header(&header, kind, domain) {
+    if let Err(reason) = check_app_header(&header, domain) {
         quarantine_file(path, &reason, report);
         return Vec::new();
     }
@@ -503,7 +394,7 @@ fn load_log_file(
         warn(report.damage.last().expect("just pushed"));
         // Rewrite the file clean so the damage is not re-reported forever
         // and the append offset is consistent.
-        let mut clean = netsyn_persist::log::encode_header(&encode_app_header(kind, domain));
+        let mut clean = netsyn_persist::log::encode_header(&encode_app_header(domain));
         for record in &loaded.records {
             clean.extend_from_slice(&netsyn_persist::log::encode_record(record));
         }
@@ -539,20 +430,22 @@ fn quarantine_file(path: &Path, reason: &str, report: &mut LoadReport) {
 // Codec: application header and record payloads.
 // ---------------------------------------------------------------------------
 
-fn encode_app_header(kind: &str, domain: DomainId) -> Vec<u8> {
+fn encode_app_header(domain: DomainId) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_str(kind);
+    w.put_str(SCORES_KIND);
     w.put_u32(CODEC_VERSION);
     w.put_str(domain.as_str());
     w.put_u64(domain.vocab_fingerprint());
     w.into_bytes()
 }
 
-fn check_app_header(header: &[u8], kind: &str, domain: DomainId) -> Result<(), String> {
+fn check_app_header(header: &[u8], domain: DomainId) -> Result<(), String> {
     let mut r = ByteReader::new(header);
     let found_kind = r.get_str().map_err(|_| "truncated header".to_string())?;
-    if found_kind != kind {
-        return Err(format!("header kind {found_kind:?}, expected {kind:?}"));
+    if found_kind != SCORES_KIND {
+        return Err(format!(
+            "header kind {found_kind:?}, expected {SCORES_KIND:?}"
+        ));
     }
     let codec = r.get_u32().map_err(|_| "truncated header".to_string())?;
     if codec != CODEC_VERSION {
@@ -704,58 +597,6 @@ fn decode_scores_record(payload: &[u8]) -> Result<ScoresRecord, String> {
     Ok((key, spec, entries))
 }
 
-fn encode_traces_record(key: &str, entries: &[TraceEntry]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_str(key);
-    w.put_u32(entries.len() as u32);
-    for (tokens, hidden) in entries {
-        w.put_u32(tokens.len() as u32);
-        for &token in tokens.iter() {
-            w.put_u64(token as u64);
-        }
-        w.put_u32(hidden.len() as u32);
-        for &h in hidden.iter() {
-            w.put_f32_bits(h);
-        }
-    }
-    w.into_bytes()
-}
-
-type TracesRecord = (String, Vec<(Box<[usize]>, Arc<[f32]>)>);
-
-fn decode_traces_record(payload: &[u8]) -> Result<TracesRecord, String> {
-    let mut r = ByteReader::new(payload);
-    let key = r.get_str().map_err(|_| "truncated key")?.to_string();
-    let count = r.get_u32().map_err(|_| "truncated entry count")? as usize;
-    if count > r.remaining() {
-        return Err("entry count overruns record".to_string());
-    }
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let token_len = r.get_u32().map_err(|_| "truncated token length")? as usize;
-        if token_len > r.remaining() / 8 {
-            return Err("token length overruns record".to_string());
-        }
-        let mut tokens = Vec::with_capacity(token_len);
-        for _ in 0..token_len {
-            tokens.push(r.get_u64().map_err(|_| "truncated token")? as usize);
-        }
-        let hidden_len = r.get_u32().map_err(|_| "truncated hidden length")? as usize;
-        if hidden_len > r.remaining() / 4 {
-            return Err("hidden length overruns record".to_string());
-        }
-        let mut hidden = Vec::with_capacity(hidden_len);
-        for _ in 0..hidden_len {
-            hidden.push(r.get_f32_bits().map_err(|_| "truncated hidden state")?);
-        }
-        entries.push((tokens.into_boxed_slice(), Arc::<[f32]>::from(hidden)));
-    }
-    if !r.is_empty() {
-        return Err("trailing bytes after trace entries".to_string());
-    }
-    Ok((key, entries))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -783,28 +624,6 @@ mod tests {
                 t.to_bits(),
                 "scores must round-trip bit-exactly"
             );
-        }
-    }
-
-    #[test]
-    fn traces_record_round_trips_bit_exactly() {
-        let entries: Vec<TraceEntry> = vec![
-            (
-                vec![1usize, 257, 0].into_boxed_slice(),
-                vec![0.5f32, f32::NAN, -0.0].into(),
-            ),
-            (vec![].into_boxed_slice(), vec![].into()),
-        ];
-        let record = encode_traces_record("nn-LCS#beef", &entries);
-        let (key, back) = decode_traces_record(&record).unwrap();
-        assert_eq!(key, "nn-LCS#beef");
-        assert_eq!(back.len(), 2);
-        for ((tk, h), (tk2, h2)) in back.iter().zip(entries.iter()) {
-            assert_eq!(tk, tk2);
-            assert_eq!(h.len(), h2.len());
-            for (a, b) in h.iter().zip(h2.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
         }
     }
 
@@ -840,24 +659,31 @@ mod tests {
 
     #[test]
     fn header_checks_reject_foreign_files() {
-        let scores = encode_app_header(SCORES_KIND, DomainId::List);
-        assert!(check_app_header(&scores, SCORES_KIND, DomainId::List).is_ok());
-        // The wrong-kind case: a traces header in the scores slot.
-        assert!(check_app_header(&scores, TRACES_KIND, DomainId::List).is_err());
+        let header = |kind: &str, domain: &str, fingerprint: u64| {
+            let mut w = ByteWriter::new();
+            w.put_str(kind);
+            w.put_u32(CODEC_VERSION);
+            w.put_str(domain);
+            w.put_u64(fingerprint);
+            w.into_bytes()
+        };
+        let list = (DomainId::List.as_str(), DomainId::List.vocab_fingerprint());
+        let scores = encode_app_header(DomainId::List);
+        assert_eq!(scores, header(SCORES_KIND, list.0, list.1));
+        assert!(check_app_header(&scores, DomainId::List).is_ok());
+        // The wrong-kind case: another log's header in the scores slot.
+        let foreign = header("netsyn-fitness/traces", list.0, list.1);
+        assert!(check_app_header(&foreign, DomainId::List).is_err());
         // The cross-domain case: a list-domain file opened for the string
         // domain (and vice versa) is never trusted.
-        assert!(check_app_header(&scores, SCORES_KIND, DomainId::Str).is_err());
-        let str_scores = encode_app_header(SCORES_KIND, DomainId::Str);
-        assert!(check_app_header(&str_scores, SCORES_KIND, DomainId::Str).is_ok());
-        assert!(check_app_header(&str_scores, SCORES_KIND, DomainId::List).is_err());
+        assert!(check_app_header(&scores, DomainId::Str).is_err());
+        let str_scores = encode_app_header(DomainId::Str);
+        assert!(check_app_header(&str_scores, DomainId::Str).is_ok());
+        assert!(check_app_header(&str_scores, DomainId::List).is_err());
         // A header claiming the right domain name but a different
         // vocabulary fingerprint is not trusted either.
-        let mut w = ByteWriter::new();
-        w.put_str(SCORES_KIND);
-        w.put_u32(CODEC_VERSION);
-        w.put_str(DomainId::List.as_str());
-        w.put_u64(DomainId::List.vocab_fingerprint() ^ 1);
-        assert!(check_app_header(&w.into_bytes(), SCORES_KIND, DomainId::List).is_err());
+        let drifted = header(SCORES_KIND, list.0, list.1 ^ 1);
+        assert!(check_app_header(&drifted, DomainId::List).is_err());
     }
 
     #[test]

@@ -14,12 +14,12 @@
 
 use netsyn_dsl::{Function, IntPredicate, IoExample, IoSpec, MapOp, Program, Value};
 use netsyn_fitness::dataset::{generate_dataset, BalanceMetric, DatasetConfig};
-use netsyn_fitness::persist::{SCORES_FILE, TRACES_FILE};
+use netsyn_fitness::persist::SCORES_FILE;
 use netsyn_fitness::trainer::{train_fitness_model, FitnessModelKind, TrainerConfig};
 use netsyn_fitness::{
     DurableOptions, FitnessCache, FitnessFunction, FitnessNetConfig, FlushStats, LearnedFitness,
 };
-use netsyn_persist::{crc32, FaultPlan, MAGIC};
+use netsyn_persist::{crc32, decode_log, ByteReader, ByteWriter, FaultPlan, MAGIC};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::path::{Path, PathBuf};
@@ -277,12 +277,27 @@ fn wrong_version_file_is_quarantined() {
 
 #[test]
 fn swapped_files_fail_the_kind_check_and_start_cold() {
-    // scores.nsl renamed to traces.nsl — e.g. a user shuffling files around.
-    // The app-level kind header catches it; the same check rejects logs
-    // whose embedded domain name or vocabulary fingerprint disagrees.
+    // Another log kind in the scores.nsl slot — e.g. an old trace log
+    // copied over it. The file is a structurally valid log with intact
+    // records, so only the app-level kind header catches it; the same
+    // check rejects logs whose embedded domain name or vocabulary
+    // fingerprint disagrees.
     let dir = scratch("swapped");
     seed_scores(&dir, 3);
-    std::fs::rename(dir.join(SCORES_FILE), dir.join(TRACES_FILE)).expect("swap");
+    let path = dir.join(SCORES_FILE);
+    let log = decode_log(&std::fs::read(&path).expect("read log")).expect("valid log");
+    let header = log.header.expect("seeded log has a header");
+    let mut reader = ByteReader::new(&header);
+    assert_eq!(reader.get_str().expect("kind"), "netsyn-fitness/scores");
+    let rest = reader.get_raw(reader.remaining()).expect("rest of header");
+    let mut foreign = ByteWriter::new();
+    foreign.put_str("netsyn-fitness/traces");
+    let mut file =
+        netsyn_persist::log::encode_header(&[foreign.into_bytes(), rest.to_vec()].concat());
+    for record in &log.records {
+        file.extend_from_slice(&netsyn_persist::log::encode_record(record));
+    }
+    std::fs::write(&path, &file).expect("write foreign log");
 
     let cache = FitnessCache::durable(&dir).expect("open");
     let report = cache.load_report().expect("report");
@@ -292,7 +307,6 @@ fn swapped_files_fail_the_kind_check_and_start_cold() {
         "the mis-kinded file must be quarantined"
     );
     assert_eq!(report.score_entries, 0);
-    assert_eq!(report.trace_entries, 0);
     assert!(cache.shard(KEY, &spec()).is_empty(), "cold, never aliased");
 }
 
@@ -439,108 +453,10 @@ fn concurrent_scoring_and_periodic_flushes_lose_nothing() {
     assert_scores_intact(&reopened, n, n);
 }
 
-/// A synthetic trace-encoding entry: distinct token sequences map to
-/// distinct hidden states with awkward bit patterns.
-fn trace_entry(i: usize) -> (Vec<usize>, Vec<f32>) {
-    (
-        vec![i, i * 7 + 1, 3],
-        vec![i as f32 + 0.25, -0.0, f32::MIN_POSITIVE / 2.0],
-    )
-}
-
-fn publish_traces(cache: &FitnessCache, range: std::ops::Range<usize>) {
-    let entries: Vec<(Vec<usize>, Vec<f32>)> = range.map(trace_entry).collect();
-    let _ = cache.trace_shard(KEY).publish_many(
-        entries
-            .iter()
-            .map(|(tokens, hidden)| (&tokens[..], hidden.as_slice().into()))
-            .collect(),
-    );
-}
-
-/// Asserts the cache serves exactly the trace entries `0..n`, bit-identically.
-fn assert_traces_intact(cache: &FitnessCache, n: usize) {
-    let shard = cache.trace_shard(KEY);
-    assert_eq!(shard.len(), n);
-    let entries: Vec<(Vec<usize>, Vec<f32>)> = (0..n).map(trace_entry).collect();
-    let keys: Vec<&[usize]> = entries.iter().map(|(tokens, _)| &tokens[..]).collect();
-    for (got, (_, hidden)) in shard.get_many(&keys).iter().zip(&entries) {
-        let got = got.as_ref().expect("every persisted encoding is served");
-        let got_bits: Vec<u32> = got.iter().map(|h| h.to_bits()).collect();
-        let want_bits: Vec<u32> = hidden.iter().map(|h| h.to_bits()).collect();
-        assert_eq!(got_bits, want_bits, "encodings round-trip bit-exactly");
-    }
-}
-
-#[test]
-fn concurrent_trace_publishes_and_periodic_flushes_persist_each_entry_once() {
-    let dir = scratch("concurrent_traces");
-    let n = 96;
-    {
-        let cache = FitnessCache::durable_with(
-            &dir,
-            DurableOptions {
-                flush_every: 2,
-                fault: None,
-                ..DurableOptions::default()
-            },
-        )
-        .expect("open");
-        std::thread::scope(|scope| {
-            // Two publishers over overlapping key ranges: every key in the
-            // overlap is raced, and first-write-wins keeps one entry.
-            let cache = &cache;
-            let low = scope.spawn(move || {
-                for start in (0..2 * n / 3).step_by(8) {
-                    publish_traces(cache, start..(start + 8).min(2 * n / 3));
-                }
-            });
-            let high = scope.spawn(move || {
-                for start in (n / 3..n).step_by(8).rev() {
-                    publish_traces(cache, start..(start + 8).min(n));
-                }
-            });
-            for _ in 0..32 {
-                cache.maybe_periodic_flush();
-                std::thread::yield_now();
-            }
-            low.join().expect("low publisher");
-            high.join().expect("high publisher");
-        });
-        cache.flush().expect("flush");
-    }
-
-    let reopened = FitnessCache::durable(&dir).expect("reopen");
-    let report = reopened.load_report().expect("report");
-    assert!(report.damage.is_empty(), "concurrent flushes never corrupt");
-    assert_eq!(
-        report.trace_entries, n,
-        "every encoding reaches disk exactly once, however flushes interleave"
-    );
-    assert_traces_intact(&reopened, n);
-}
-
-#[test]
-fn trace_flush_appends_only_the_delta() {
-    let dir = scratch("trace_delta");
-    let cache = FitnessCache::durable(&dir).expect("open");
-    publish_traces(&cache, 0..4);
-    assert_eq!(cache.flush().expect("flush").trace_entries, 4);
-    // A second flush with nothing new appends nothing.
-    assert_eq!(cache.flush().expect("flush").trace_entries, 0);
-    // Re-publishing known keys is first-write-wins: nothing new to append.
-    publish_traces(&cache, 2..6);
-    assert_eq!(cache.flush().expect("flush").trace_entries, 2);
-    drop(cache);
-
-    let reopened = FitnessCache::durable(&dir).expect("reopen");
-    assert_eq!(reopened.load_report().expect("report").trace_entries, 6);
-    assert_traces_intact(&reopened, 6);
-}
-
-fn log_lengths(dir: &Path) -> (u64, u64) {
-    let len = |name| std::fs::metadata(dir.join(name)).expect("log exists").len();
-    (len(SCORES_FILE), len(TRACES_FILE))
+fn scores_len(dir: &Path) -> u64 {
+    std::fs::metadata(dir.join(SCORES_FILE))
+        .expect("log exists")
+        .len()
 }
 
 #[test]
@@ -552,25 +468,21 @@ fn warm_reopen_flushes_nothing() {
         for (i, p) in programs(8).into_iter().enumerate() {
             memo.insert(p, score_for(i));
         }
-        publish_traces(&cache, 0..5);
-        let stats = cache.flush().expect("flush");
-        assert_eq!((stats.score_entries, stats.trace_entries), (8, 5));
+        assert_eq!(cache.flush().expect("flush").score_entries, 8);
     }
-    let before = log_lengths(&dir);
+    let before = scores_len(&dir);
 
     let cache = FitnessCache::durable(&dir).expect("reopen");
-    let report = cache.load_report().expect("report");
-    assert_eq!((report.score_entries, report.trace_entries), (8, 5));
+    assert_eq!(cache.load_report().expect("report").score_entries, 8);
     // Serving (and re-publishing) loaded entries queues nothing.
     let memo = cache.shard(KEY, &spec());
     for (i, p) in programs(8).into_iter().enumerate() {
         memo.insert(p, score_for(i));
     }
-    publish_traces(&cache, 0..5);
     assert_eq!(cache.flush().expect("flush"), FlushStats::default());
-    assert_eq!(log_lengths(&dir), before, "a warm flush writes no bytes");
+    assert_eq!(scores_len(&dir), before, "a warm flush writes no bytes");
     drop(cache);
-    assert_eq!(log_lengths(&dir), before, "nor does the flush on drop");
+    assert_eq!(scores_len(&dir), before, "nor does the flush on drop");
 }
 
 #[test]
@@ -581,7 +493,6 @@ fn flush_after_compaction_appends_nothing() {
     for (i, p) in programs(6).into_iter().enumerate() {
         memo.insert(p, score_for(i));
     }
-    publish_traces(&cache, 0..3);
     // Compaction writes the full image and clears the dirty lists, so the
     // unflushed entries are not appended a second time.
     cache.compact().expect("durable").expect("compact");
@@ -592,14 +503,48 @@ fn flush_after_compaction_appends_nothing() {
     drop(cache);
 
     let reopened = FitnessCache::durable(&dir).expect("reopen");
-    let report = reopened.load_report().expect("report");
-    assert_eq!((report.score_entries, report.trace_entries), (7, 3));
+    assert_eq!(reopened.load_report().expect("report").score_entries, 7);
     assert_scores_intact(&reopened, 7, 7);
-    assert_traces_intact(&reopened, 3);
 }
 
-/// A tiny trained model, enough to drive real trace encodings through the
-/// durable trace log.
+#[test]
+fn stale_traces_log_is_ignored_and_left_untouched() {
+    // Earlier builds also persisted trace encodings to `traces.nsl`. This
+    // build never reads, quarantines, rewrites or deletes that file: the
+    // directory opens on `scores.nsl` alone.
+    let dir = scratch("stale_traces");
+    seed_scores(&dir, 5);
+    let stale = dir.join("traces.nsl");
+    let stale_bytes: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+    std::fs::write(&stale, &stale_bytes).expect("write stale trace log");
+
+    let cache = FitnessCache::durable(&dir).expect("open");
+    let report = cache.load_report().expect("report");
+    assert_eq!(report.score_entries, 5);
+    assert_eq!(report.trace_entries, 0);
+    assert!(report.quarantined.is_empty(), "nothing is quarantined");
+    assert!(report.damage.is_empty());
+    assert_eq!(report.skipped_records, 0);
+    assert_scores_intact(&cache, 5, 5);
+    assert_eq!(std::fs::read(&stale).expect("read"), stale_bytes);
+
+    cache
+        .shard(KEY, &spec())
+        .insert(programs(6).remove(5), score_for(5));
+    assert_eq!(cache.flush().expect("flush").score_entries, 1);
+    assert_eq!(std::fs::read(&stale).expect("read"), stale_bytes);
+    cache.compact().expect("durable").expect("compact");
+    assert_eq!(std::fs::read(&stale).expect("read"), stale_bytes);
+    drop(cache);
+    assert_eq!(std::fs::read(&stale).expect("read"), stale_bytes);
+
+    let reopened = FitnessCache::durable(&dir).expect("reopen");
+    assert_eq!(reopened.load_report().expect("report").score_entries, 6);
+    assert_scores_intact(&reopened, 6, 6);
+}
+
+/// A tiny trained model, enough to drive real trace encodings and scores
+/// through a durable cache.
 fn tiny_fitness() -> LearnedFitness {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     let mut dataset_config = DatasetConfig::for_length(2);
@@ -628,6 +573,10 @@ fn tiny_fitness() -> LearnedFitness {
     LearnedFitness::new(model)
 }
 
+/// Scores computed by a real model through a durable cache's trace shard
+/// come back from disk bit-identical after a restart. Trace encodings are
+/// not persisted: the restarted trace shard starts empty, and the score
+/// shard serves the whole batch without running the network.
 #[test]
 fn trace_encodings_round_trip_and_warm_scores_are_bit_identical() {
     let dir = scratch("traces");
@@ -635,32 +584,43 @@ fn trace_encodings_round_trip_and_warm_scores_are_bit_identical() {
     let batch = programs(6);
     let spec = spec();
 
-    // Cold process: score through the durable cache's trace shard.
+    // Cold process: score through the durable cache's trace shard and
+    // publish the scores to the score shard, as the GA engine does.
     let cold_scores;
     {
         let cache = FitnessCache::durable(&dir).expect("open");
         let traces = cache.trace_shard(&fitness.cache_key());
         cold_scores = fitness.score_batch_cached(&batch, &spec, &traces);
         assert!(traces.encode_count() > 0, "the cold run encodes traces");
+        let memo = cache.shard(&fitness.cache_key(), &spec);
+        for (program, score) in batch.iter().zip(&cold_scores) {
+            memo.insert(program.clone(), *score);
+        }
         let stats = cache.flush().expect("flush");
-        assert!(stats.trace_entries > 0, "encodings must be persisted");
+        assert_eq!(stats.score_entries, batch.len(), "scores are persisted");
     }
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list cache dir")
+        .map(|entry| entry.expect("dir entry").file_name())
+        .collect();
+    files.sort();
+    assert_eq!(files, [SCORES_FILE], "only the score log is ever written");
 
-    // Restarted process: the trace shard comes back from disk; re-scoring
-    // the same batch re-encodes nothing and reproduces the scores
-    // bit-for-bit (hidden states round-trip as raw f32 bits).
+    // Restarted process: the score shard comes back from disk and serves
+    // every score bit-for-bit; the trace shard starts empty.
     let cache = FitnessCache::durable(&dir).expect("reopen");
     let report = cache.load_report().expect("report");
-    assert!(report.trace_entries > 0, "trace entries load at startup");
+    assert_eq!(report.score_entries, batch.len());
+    assert_eq!(report.trace_entries, 0, "encodings are not persisted");
     let traces = cache.trace_shard(&fitness.cache_key());
-    assert!(!traces.is_empty());
-    assert_eq!(traces.encode_count(), 0, "loads don't count as encodes");
-    let warm_scores = fitness.score_batch_cached(&batch, &spec, &traces);
-    assert_eq!(
-        traces.encode_count(),
-        0,
-        "a warm-from-disk shard serves every trace value"
-    );
+    assert!(traces.is_empty());
+    let memo = cache.shard(&fitness.cache_key(), &spec);
+    let warm_scores: Vec<f64> = memo
+        .get_many(&batch)
+        .into_iter()
+        .map(|score| score.expect("every score is served from disk"))
+        .collect();
+    assert_eq!(traces.encode_count(), 0, "serving scores runs no network");
     let cold_bits: Vec<u64> = cold_scores.iter().map(|s| s.to_bits()).collect();
     let warm_bits: Vec<u64> = warm_scores.iter().map(|s| s.to_bits()).collect();
     assert_eq!(warm_bits, cold_bits, "warm scores are bit-identical");

@@ -1,4 +1,4 @@
-//! Warm-vs-cold determinism of the persistent reuse layers.
+//! Warm-vs-cold determinism of the reuse layers, in memory and on disk.
 //!
 //! The encoding/inference caches added under the batched hot path — the
 //! cross-generation [`TraceEncodingCache`], the neighborhood search's use of
@@ -19,6 +19,13 @@
 //! pool size is fixed at first use per process, so the matrix re-runs this
 //! test binary as a subprocess per cell (see
 //! `ga_outcome_bytes_identical_across_thread_counts_and_simd_modes`).
+//!
+//! The restart matrix does the same across a process restart: a cold
+//! process flushes its scores to a durable cache directory, and a warm
+//! process reopens it. Only scores are persisted, so the warm process
+//! starts with a loaded score shard and an empty trace shard; every score
+//! of the identical search hits, so it never runs the network (see
+//! `ga_outcome_bytes_identical_across_process_restarts`).
 
 use netsyn_dsl::{Function, IntPredicate, IoSpec, MapOp, Program, Value};
 use netsyn_fitness::dataset::{generate_dataset, BalanceMetric, DatasetConfig};
@@ -361,11 +368,12 @@ fn ga_outcome_bytes_identical_across_island_pool_simd_matrix() {
 /// opens the **durable** cache named by `NETSYN_CACHE_DIR`, runs the same
 /// synthesis as the determinism matrix, and prints the serialized outcome.
 ///
-/// The `cold` phase asserts it starts from an empty shard and flushes its
-/// scores and trace encodings to disk on the way out; the `warm` phase — a
-/// fresh process, i.e. a real restart — asserts the shard and trace
-/// encodings came back from disk and that the run re-encodes nothing. In a
-/// normal test run (env unset) it is a no-op.
+/// The `cold` phase asserts it starts from empty shards and flushes its
+/// scores to disk on the way out. The `warm` phase — a fresh process, i.e.
+/// a real restart — asserts the score shard came back from disk and the
+/// trace shard starts empty (encodings live in memory only), and that the
+/// identical run encodes nothing: every score hits, so the network never
+/// runs. In a normal test run (env unset) it is a no-op.
 #[test]
 fn restart_matrix_child_emits_outcome() {
     let Ok(phase) = std::env::var("NETSYN_RESTART_CHILD") else {
@@ -387,13 +395,8 @@ fn restart_matrix_child_emits_outcome() {
                 "warm phase must load scores persisted by the cold process"
             );
             assert!(
-                !traces.is_empty(),
-                "warm phase must load trace encodings persisted by the cold process"
-            );
-            assert_eq!(
-                traces.encode_count(),
-                0,
-                "entries loaded from disk must not count as fresh encodes"
+                traces.is_empty(),
+                "trace encodings are not persisted, so the warm trace shard starts empty"
             );
         }
         other => panic!("unknown restart phase {other:?}"),
@@ -403,7 +406,7 @@ fn restart_matrix_child_emits_outcome() {
         assert_eq!(
             traces.encode_count(),
             0,
-            "a warm-from-disk run must re-encode no trace value"
+            "a warm-from-disk run hits every score, so it encodes no trace value"
         );
     }
     let stats = cache.flush().expect("durable cache flushes");
@@ -454,9 +457,9 @@ fn restart_child(exe: &std::path::Path, dir: &std::path::Path, phase: &str, simd
 /// The durable-tier restart matrix: run → flush to disk → **restart the
 /// process** → warm-start from disk, under `NETSYN_SIMD=0,1`. All four
 /// serialized [`GaOutcome`]s (cold and warm, each SIMD mode) must be
-/// byte-identical: a warm-from-disk cache only skips work — scores and
-/// trace-encoding hidden states round-trip through the record logs as raw
-/// bit patterns, so the restarted search trajectory cannot drift.
+/// byte-identical: a warm-from-disk cache only skips work — scores
+/// round-trip through the score log as raw bit patterns, so the restarted
+/// search trajectory cannot drift.
 #[test]
 fn ga_outcome_bytes_identical_across_process_restarts() {
     if std::env::var("NETSYN_SKIP_RESTART_MATRIX").is_ok() {

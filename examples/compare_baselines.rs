@@ -8,10 +8,10 @@
 //! cargo run --release --example compare_baselines
 //! ```
 //!
-//! Set `NETSYN_CACHE_DIR=/some/dir` to persist fitness scores and trace
-//! encodings across runs: `evaluate_method` warm-starts every method from the
-//! durable cache (shards are keyed per model fingerprint and specification,
-//! so methods never alias each other's scores).
+//! Set `NETSYN_CACHE_DIR=/some/dir` to persist fitness scores across runs:
+//! `evaluate_method` warm-starts every method from the durable cache (shards
+//! are keyed per model fingerprint and specification, so methods never alias
+//! each other's scores).
 
 use netsyn_core::prelude::*;
 use netsyn_dsl::SynthesisTask;

@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Set `NETSYN_CACHE_DIR=/some/dir` to make the fitness cache durable: a
-//! second run warm-starts from the scores and trace encodings the first run
-//! persisted, and reproduces the same search from disk.
+//! second run warm-starts from the scores the first run persisted, and
+//! reproduces the same search from disk.
 
 use netsyn_core::prelude::*;
 use rand::SeedableRng;
@@ -40,18 +40,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.ga.max_generations = 2_000;
     let synthesizer = NetSyn::new(config, None);
 
-    // Opt-in durable cache: with NETSYN_CACHE_DIR set, scores and trace
-    // encodings survive the process — a rerun warm-starts from disk (and a
-    // damaged or foreign cache directory degrades to a cold cache, never to
-    // wrong scores).
+    // Opt-in durable cache: with NETSYN_CACHE_DIR set, scores survive the
+    // process — a rerun warm-starts from disk (and a damaged or foreign
+    // cache directory degrades to a cold cache, never to wrong scores).
     let cache = match std::env::var_os("NETSYN_CACHE_DIR") {
         Some(dir) => {
             let cache = FitnessCache::durable(&dir)?;
             if let Some(report) = cache.load_report() {
                 println!(
-                    "Durable cache: {} score entries, {} trace entries loaded from {}\n",
+                    "Durable cache: {} score entries loaded from {}\n",
                     report.score_entries,
-                    report.trace_entries,
                     std::path::Path::new(&dir).display()
                 );
             }
