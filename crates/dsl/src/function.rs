@@ -218,6 +218,24 @@ pub struct Signature {
     pub output: Type,
 }
 
+/// Size of the `Function::lookup_key` space: 34 variants, 16 lambda slots
+/// each.
+const LOOKUP_KEY_SPACE: usize = 34 * 16;
+
+/// `Function::lookup_key` → stable id (0: no function has this key), built
+/// from [`Function::EXTENDED`] so the numbering has one source of truth.
+const ID_BY_LOOKUP_KEY: [u8; LOOKUP_KEY_SPACE] = {
+    let mut table = [0u8; LOOKUP_KEY_SPACE];
+    let mut i = 0;
+    while i < Function::EXTENDED_COUNT {
+        let key = Function::EXTENDED[i].lookup_key();
+        assert!(table[key] == 0, "two functions share a lookup key");
+        table[key] = (i + 1) as u8;
+        i += 1;
+    }
+    table
+};
+
 /// One operator of the NetSyn DSLs (list or string domain).
 ///
 /// For the first 41 variants the numbering used by [`Function::id`] matches
@@ -401,13 +419,56 @@ impl Function {
     /// 42..=59 string domain).
     #[must_use]
     pub fn id(self) -> u8 {
-        // Position in EXTENDED + 1; a linear scan over 59 entries is cheap
-        // and keeps EXTENDED the single source of truth for the numbering.
-        Function::EXTENDED
-            .iter()
-            .position(|f| *f == self)
-            .map(|i| (i + 1) as u8)
-            .expect("every Function variant is present in Function::EXTENDED")
+        // Ids are looked up once per encoded trace step and per guided
+        // mutation, so the position in EXTENDED comes from a table built
+        // from EXTENDED at compile time rather than a scan.
+        match ID_BY_LOOKUP_KEY[self.lookup_key()] {
+            0 => panic!("every Function variant is present in Function::EXTENDED"),
+            id => id,
+        }
+    }
+
+    /// An injective key of the variant and its lambda: the variant's
+    /// declaration position times 16 plus the lambda's position in its
+    /// enum. It carries no id; [`ID_BY_LOOKUP_KEY`] maps it to one.
+    const fn lookup_key(self) -> usize {
+        let (variant, lambda) = match self {
+            Function::Access => (0, 0),
+            Function::Count(p) => (1, p as usize),
+            Function::Head => (2, 0),
+            Function::Last => (3, 0),
+            Function::Minimum => (4, 0),
+            Function::Maximum => (5, 0),
+            Function::Search => (6, 0),
+            Function::Sum => (7, 0),
+            Function::Delete => (8, 0),
+            Function::Drop => (9, 0),
+            Function::Filter(p) => (10, p as usize),
+            Function::Insert => (11, 0),
+            Function::Map(op) => (12, op as usize),
+            Function::Reverse => (13, 0),
+            Function::Scanl1(op) => (14, op as usize),
+            Function::Sort => (15, 0),
+            Function::Take => (16, 0),
+            Function::ZipWith(op) => (17, op as usize),
+            Function::StrConcat => (18, 0),
+            Function::StrUpper => (19, 0),
+            Function::StrLower => (20, 0),
+            Function::StrTitle => (21, 0),
+            Function::StrTrim => (22, 0),
+            Function::StrReverse => (23, 0),
+            Function::StrTake => (24, 0),
+            Function::StrDrop => (25, 0),
+            Function::StrLen => (26, 0),
+            Function::StrSplit(sep) => (27, sep as usize),
+            Function::StrJoin(sep) => (28, sep as usize),
+            Function::WordsReverse => (29, 0),
+            Function::WordsSort => (30, 0),
+            Function::WordsHead => (31, 0),
+            Function::WordsLast => (32, 0),
+            Function::WordsCount => (33, 0),
+        };
+        variant * 16 + lambda
     }
 
     /// Looks a function up by its stable id.

@@ -55,7 +55,7 @@ use crate::persist::{DurableOptions, DurableStore, FlushStats, LoadReport, Score
 use crate::sync::{lock_recovering, read_recovering, wait_recovering, write_recovering};
 use crate::sync::{Condvar, Mutex};
 use netsyn_dsl::{IoSpec, Program};
-use std::collections::hash_map::DefaultHasher;
+use netsyn_nn::{FxHashMap, FxHasher};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
@@ -87,7 +87,7 @@ struct Stripe {
 /// [`Slot::Done`]; in-memory caches keep no list and pay nothing.
 #[derive(Debug)]
 struct Slots {
-    map: HashMap<Program, Slot>,
+    map: FxHashMap<Program, Slot>,
     dirty: Option<Vec<(Program, f64)>>,
 }
 
@@ -130,7 +130,7 @@ impl SpecScores {
     pub(crate) fn with_dirty_lists(recording: bool) -> Self {
         let stripe = || Stripe {
             slots: Mutex::new(Slots {
-                map: HashMap::new(),
+                map: FxHashMap::default(),
                 dirty: recording.then(Vec::new),
             }),
             published: Condvar::default(),
@@ -141,10 +141,14 @@ impl SpecScores {
     }
 }
 
+/// The stripe holding `program`: bits 32.. of its Fx hash. The stripe's map
+/// indexes buckets by the low bits and tags them by the top seven bits of the
+/// same hash, so taking either for the stripe would leave the map a constant
+/// to hash on.
 fn stripe_index(program: &Program) -> usize {
-    let mut hasher = DefaultHasher::new();
+    let mut hasher = FxHasher::default();
     program.hash(&mut hasher);
-    (hasher.finish() as usize) & (STRIPE_COUNT - 1)
+    (hasher.finish() >> 32) as usize & (STRIPE_COUNT - 1)
 }
 
 impl SpecScores {
@@ -809,6 +813,28 @@ mod tests {
             &cache.shard(&a.cache_key(), &spec_two),
             &cache.shard(&b.cache_key(), &spec_four)
         ));
+    }
+
+    #[test]
+    fn programs_spread_evenly_over_the_stripes() {
+        // Every length-3 list program with ids 1..=16 per position: 4096
+        // programs, 256 per stripe on average.
+        let mut per_stripe = [0usize; STRIPE_COUNT];
+        for a in 1..=16 {
+            for b in 1..=16 {
+                for c in 1..=16 {
+                    let program = Program::from_ids(&[a, b, c]).expect("valid ids");
+                    per_stripe[stripe_index(&program)] += 1;
+                }
+            }
+        }
+        let mean = 4096 / STRIPE_COUNT;
+        for count in per_stripe {
+            assert!(
+                count > mean / 2 && count < mean * 3 / 2,
+                "uneven stripes: {per_stripe:?}"
+            );
+        }
     }
 
     #[test]

@@ -229,6 +229,47 @@ mod tests {
         assert_eq!(outcome.generations, 0);
     }
 
+    /// Scores every candidate NaN, which the roulette wheel rejects.
+    struct NanFitness;
+
+    impl FitnessFunction for NanFitness {
+        fn name(&self) -> &str {
+            "nan"
+        }
+
+        fn score(&self, _candidate: &Program, _spec: &IoSpec) -> f64 {
+            f64::NAN
+        }
+
+        fn max_score(&self) -> f64 {
+            1.0
+        }
+    }
+
+    #[test]
+    fn elites_filling_the_population_never_spin_the_wheel() {
+        // No offspring is drawn, so the invalid weights are never spun.
+        let mut config = GaConfig::small(3);
+        config.elite_count = config.population_size;
+        config.max_generations = 4;
+        config.neighborhood = NeighborhoodStrategy::Disabled;
+        let engine = GeneticEngine::new(config);
+        let mut budget = SearchBudget::new(1_000_000);
+        let outcome = engine.synthesize(&spec(), &NanFitness, &mut budget, &mut rng(5));
+        assert_eq!(outcome.generations, 4);
+        assert_eq!(outcome.candidates_evaluated, 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "weights must be non-negative and finite")]
+    fn breeding_from_nan_weights_panics() {
+        let mut config = GaConfig::small(3);
+        config.neighborhood = NeighborhoodStrategy::Disabled;
+        let engine = GeneticEngine::new(config);
+        let mut budget = SearchBudget::new(1_000_000);
+        let _ = engine.synthesize(&spec(), &NanFitness, &mut budget, &mut rng(5));
+    }
+
     #[test]
     fn max_generations_bounds_the_search() {
         let mut config = GaConfig::small(5);

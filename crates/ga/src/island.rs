@@ -41,15 +41,17 @@ use crate::gene::{Gene, Population};
 use crate::mutation;
 use crate::neighborhood;
 use crate::saturation::SaturationDetector;
-use crate::selection;
+use crate::selection::RouletteWheel;
 use netsyn_dsl::dce::has_dead_code;
 use netsyn_dsl::{IoSpec, Program, Type};
 use netsyn_fitness::cache::{resolve_batch, SpecScores};
 use netsyn_fitness::{FitnessCache, FitnessFunction, ProbabilityMap, TraceEncodingCache};
+use netsyn_nn::{FxHashMap, FxHasher};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 /// Everything shared by all islands of one synthesis call: the problem, the
@@ -119,6 +121,11 @@ pub(crate) struct Island {
     pub evaluated: usize,
     pub initialized: bool,
     pub status: IslandStatus,
+    /// Packed keys ([`packed_key`]) of the candidates this island checked
+    /// against the spec and found unsatisfying. About 85% of offspring
+    /// repeat an earlier program, and the check is a pure function of the
+    /// program for the island's fixed spec, so a hit skips the interpreter.
+    failed_spec: HashSet<u128, BuildHasherDefault<FxHasher>>,
 }
 
 impl Island {
@@ -132,7 +139,22 @@ impl Island {
             evaluated: 0,
             initialized: false,
             status: IslandStatus::Active,
+            failed_spec: HashSet::default(),
         }
+    }
+
+    /// `spec.is_satisfied_by(program)`, served from the island's memo of
+    /// failed checks when the program has failed before.
+    fn satisfies(&mut self, spec: &IoSpec, program: &Program) -> bool {
+        let key = packed_key(program);
+        if key.is_some_and(|key| self.failed_spec.contains(&key)) {
+            return false;
+        }
+        let satisfied = spec.is_satisfied_by(program);
+        if let (false, Some(key)) = (satisfied, key) {
+            self.failed_spec.insert(key);
+        }
+        satisfied
     }
 
     fn consume(&mut self, budget: &mut SearchBudget) -> bool {
@@ -164,7 +186,7 @@ impl Island {
                 self.status = IslandStatus::Exhausted;
                 return;
             }
-            if ctx.spec.is_satisfied_by(&program) {
+            if self.satisfies(ctx.spec, &program) {
                 self.status = IslandStatus::Solved {
                     program,
                     by_neighborhood: false,
@@ -277,41 +299,34 @@ impl Island {
     {
         let config = ctx.config;
         let weights = self.population.fitness_weights();
+        let wheel = RouletteWheel::new(&weights);
         let mut next: Vec<Gene> = self.population.top_genes(config.elite_count);
         while next.len() < config.population_size {
             let draw: f64 = rng.gen();
-            if draw < config.crossover_rate {
-                let offspring =
-                    crossover_offspring(config, &self.population, &weights, &ctx.input_types, rng);
-                if !self.consume(budget) {
-                    return BreedResult::Exhausted;
-                }
-                if ctx.spec.is_satisfied_by(&offspring) {
-                    return BreedResult::Solution(offspring);
-                }
-                next.push(Gene::new(offspring));
+            let offspring = if draw < config.crossover_rate {
+                crossover_offspring(config, &self.population, &wheel, &ctx.input_types, rng)
             } else if draw < config.crossover_rate + config.mutation_rate {
-                let offspring = mutation_offspring(
+                mutation_offspring(
                     config,
                     &self.population,
-                    &weights,
+                    &wheel,
                     &ctx.input_types,
                     ctx.probability_map.as_ref(),
                     rng,
-                );
-                if !self.consume(budget) {
-                    return BreedResult::Exhausted;
-                }
-                if ctx.spec.is_satisfied_by(&offspring) {
-                    return BreedResult::Solution(offspring);
-                }
-                next.push(Gene::new(offspring));
+                )
             } else {
                 // Reproduction: copy a selected gene unchanged (not a new
                 // candidate program, so it does not consume search budget).
-                let index = selection::roulette_wheel(&weights, rng);
-                next.push(self.population.genes()[index].clone());
+                next.push(self.population.genes()[wheel.spin(rng)].clone());
+                continue;
+            };
+            if !self.consume(budget) {
+                return BreedResult::Exhausted;
             }
+            if self.satisfies(ctx.spec, &offspring) {
+                return BreedResult::Solution(offspring);
+            }
+            next.push(Gene::new(offspring));
         }
         BreedResult::Next(Population::new(next))
     }
@@ -388,14 +403,18 @@ pub(crate) fn evaluate_population<F>(
 ) where
     F: FitnessFunction + ?Sized,
 {
-    // Distinct programs still needing a score, in first-seen order.
+    // Distinct programs still needing a score, in first-seen order, and
+    // each unscored gene's slot among them.
     let mut needed: Vec<Program> = Vec::new();
-    let mut index_of: HashMap<Program, usize> = HashMap::new();
+    let mut slots: Vec<Option<usize>> = Vec::with_capacity(population.len());
+    let mut index_of: FxHashMap<&Program, usize> = FxHashMap::default();
     for gene in population.genes() {
-        if gene.fitness.is_none() && !index_of.contains_key(&gene.program) {
-            index_of.insert(gene.program.clone(), needed.len());
-            needed.push(gene.program.clone());
-        }
+        slots.push(gene.fitness.is_none().then(|| {
+            *index_of.entry(&gene.program).or_insert_with(|| {
+                needed.push(gene.program.clone());
+                needed.len() - 1
+            })
+        }));
     }
     if needed.is_empty() {
         return;
@@ -403,9 +422,9 @@ pub(crate) fn evaluate_population<F>(
     let resolved = resolve_batch(memo, &needed, |batch| {
         fitness.score_batch_cached(batch, spec, traces)
     });
-    for gene in population.genes_mut().iter_mut() {
-        if gene.fitness.is_none() {
-            gene.fitness = Some(resolved[index_of[&gene.program]]);
+    for (gene, slot) in population.genes_mut().iter_mut().zip(slots) {
+        if let Some(slot) = slot {
+            gene.fitness = Some(resolved[slot]);
         }
     }
 }
@@ -417,82 +436,86 @@ pub(crate) fn random_program<R: Rng + ?Sized>(
     input_types: &[Type],
     rng: &mut R,
 ) -> Program {
-    let mut last = unconstrained_random_program(config, rng);
-    for _ in 0..config.dead_code_retries {
-        if !has_dead_code(&last, input_types) {
-            return last;
-        }
-        last = unconstrained_random_program(config, rng);
-    }
-    last
-}
-
-fn unconstrained_random_program<R: Rng + ?Sized>(config: &GaConfig, rng: &mut R) -> Program {
     let vocab = config.domain.vocab();
-    (0..config.program_length)
-        .map(|_| vocab[rng.gen_range(0..vocab.len())])
-        .collect()
+    without_dead_code(config, input_types, rng, |rng| {
+        (0..config.program_length)
+            .map(|_| vocab[rng.gen_range(0..vocab.len())])
+            .collect()
+    })
 }
 
 fn crossover_offspring<R: Rng + ?Sized>(
     config: &GaConfig,
     population: &Population,
-    weights: &[f64],
+    wheel: &RouletteWheel<'_>,
     input_types: &[Type],
     rng: &mut R,
 ) -> Program {
-    let mut last = {
-        let (a, b) = selection::roulette_wheel_pair(weights, rng);
+    without_dead_code(config, input_types, rng, |rng| {
+        let (a, b) = wheel.spin_pair(rng);
         crossover::single_point(
             &population.genes()[a].program,
             &population.genes()[b].program,
             rng,
         )
-    };
-    for _ in 0..config.dead_code_retries {
-        if !has_dead_code(&last, input_types) {
-            return last;
-        }
-        let (a, b) = selection::roulette_wheel_pair(weights, rng);
-        last = crossover::single_point(
-            &population.genes()[a].program,
-            &population.genes()[b].program,
-            rng,
-        );
-    }
-    last
+    })
 }
 
 fn mutation_offspring<R: Rng + ?Sized>(
     config: &GaConfig,
     population: &Population,
-    weights: &[f64],
+    wheel: &RouletteWheel<'_>,
     input_types: &[Type],
     probability_map: Option<&ProbabilityMap>,
     rng: &mut R,
 ) -> Program {
-    let index = selection::roulette_wheel(weights, rng);
-    let parent = &population.genes()[index].program;
-    let mut last = mutation::point_mutation(
-        parent,
-        config.mutation_mode,
-        probability_map,
-        config.domain,
-        rng,
-    );
-    for _ in 0..config.dead_code_retries {
-        if !has_dead_code(&last, input_types) {
-            return last;
-        }
-        last = mutation::point_mutation(
+    let parent = &population.genes()[wheel.spin(rng)].program;
+    without_dead_code(config, input_types, rng, |rng| {
+        mutation::point_mutation(
             parent,
             config.mutation_mode,
             probability_map,
             config.domain,
             rng,
-        );
+        )
+    })
+}
+
+/// The first of up to `1 + dead_code_retries` programs from `make` that has
+/// no dead code, or the last one made.
+fn without_dead_code<R: Rng + ?Sized>(
+    config: &GaConfig,
+    input_types: &[Type],
+    rng: &mut R,
+    mut make: impl FnMut(&mut R) -> Program,
+) -> Program {
+    let mut last = make(rng);
+    for _ in 0..config.dead_code_retries {
+        if !has_dead_code(&last, input_types) {
+            return last;
+        }
+        last = make(rng);
     }
     last
+}
+
+/// The longest program [`packed_key`] packs.
+const MAX_PACKED_LEN: usize = (u128::BITS / 6) as usize;
+
+/// An exact, allocation-free key for `program`: its stable function ids
+/// (1..=59, six bits each) packed into a `u128`, first statement lowest.
+/// Ids are never 0, so programs of different lengths get different keys.
+/// `None` for programs longer than [`MAX_PACKED_LEN`], which the memo skips.
+fn packed_key(program: &Program) -> Option<u128> {
+    if program.len() > MAX_PACKED_LEN {
+        return None;
+    }
+    Some(
+        program
+            .iter()
+            .rev()
+            .fold(0u128, |key, function| key << 6 | u128::from(function.id())),
+    )
 }
 
 /// One island bundled with its private RNG stream and budget slice for the
@@ -758,6 +781,28 @@ mod tests {
         assert_eq!(a1.population.genes(), a2.population.genes());
         assert_eq!(b1.population.genes(), b2.population.genes());
         assert_eq!(c1.population.genes(), c2.population.genes());
+    }
+
+    #[test]
+    fn packed_keys_are_distinct_and_bounded() {
+        let mut keys = HashSet::new();
+        let mut programs = vec![Program::default()];
+        programs.extend(Function::EXTENDED.iter().map(|&f| Program::new(vec![f])));
+        for a in Function::EXTENDED {
+            for b in Function::EXTENDED {
+                programs.push(Program::new(vec![a, b]));
+            }
+        }
+        for program in &programs {
+            let key = packed_key(program).expect("short programs pack");
+            assert!(keys.insert(key), "{program} shares a key");
+        }
+        let last = Function::EXTENDED[Function::EXTENDED_COUNT - 1];
+        assert!(packed_key(&Program::new(vec![last; MAX_PACKED_LEN])).is_some());
+        assert_eq!(
+            packed_key(&Program::new(vec![last; MAX_PACKED_LEN + 1])),
+            None
+        );
     }
 
     #[test]

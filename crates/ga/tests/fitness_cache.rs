@@ -6,14 +6,16 @@
 //!   `LearnedFitness` confirms it end to end;
 //! * a counting fitness proves a shared `FitnessCache` serves a repeated
 //!   run of the same task entirely from cached scores (and that a warm
-//!   cache leaves the search trajectory untouched).
+//!   cache leaves the search trajectory untouched);
+//! * a pre-published target score proves the GA's memo of failed spec
+//!   checks is built from the checks themselves, not from cache membership.
 
 use netsyn_dsl::{Function, IntPredicate, IoSpec, MapOp, Program, Value};
 use netsyn_fitness::dataset::{generate_dataset, BalanceMetric, DatasetConfig};
 use netsyn_fitness::trainer::{train_fitness_model, FitnessModelKind, TrainerConfig};
 use netsyn_fitness::{
-    EncodingConfig, FitnessCache, FitnessFunction, FitnessNetConfig, LearnedFitness,
-    SpecEncodingCache,
+    ClosenessMetric, EncodingConfig, FitnessCache, FitnessFunction, FitnessNetConfig,
+    LearnedFitness, OracleFitness, SpecEncodingCache,
 };
 use netsyn_ga::{GaConfig, GeneticEngine, NeighborhoodStrategy, SearchBudget};
 use rand::SeedableRng;
@@ -199,4 +201,36 @@ fn private_caches_keep_synthesize_deterministic() {
     assert_eq!(a, b);
     // Plain synthesize uses a fresh private cache: the second run re-scores.
     assert_eq!(fitness.scored(), 2 * scored_after_a);
+}
+
+#[test]
+fn a_cached_target_score_does_not_hide_the_solution() {
+    // A seed whose cold run breeds exactly the target (not an equivalent
+    // program, not a neighborhood find).
+    let fitness = OracleFitness::new(target(), ClosenessMetric::CommonFunctions);
+    let engine = engine();
+    let (seed, cold) = (0..64)
+        .find_map(|seed| {
+            let mut budget = SearchBudget::new(5_000);
+            let outcome = engine.synthesize(&spec(), &fitness, &mut budget, &mut rng(seed));
+            (outcome.solution == Some(target()) && outcome.generations > 0)
+                .then_some((seed, outcome))
+        })
+        .expect("some seed breeds the target");
+    assert!(!cold.found_by_neighborhood);
+
+    // The target's score is already cached before the run starts. A memo
+    // that took "has a cached score" to mean "failed the spec" would skip
+    // the target's check and never return it.
+    let cache = FitnessCache::new();
+    cache
+        .shard(&fitness.cache_key(), &spec())
+        .insert(target(), fitness.score(&target(), &spec()));
+    let mut budget = SearchBudget::new(5_000);
+    let warm = engine.synthesize_with_cache(&spec(), &fitness, &mut budget, &mut rng(seed), &cache);
+    assert_eq!(warm.solution, Some(target()));
+    assert_eq!(
+        warm, cold,
+        "a pre-cached score must not change the trajectory"
+    );
 }
