@@ -20,8 +20,8 @@
 //!   (matmul rows, LSTM gate sweeps), whose chunks the pool now steals.
 //! * `concurrent_runs_4x` — four concurrent synthesis attempts of the same
 //!   task (the evaluation harness's task×run fan-out) score four disjoint
-//!   64-candidate populations through one shared `SpecScores` shard via the
-//!   claim protocol, each attempt nesting into the batched kernels. This
+//!   64-candidate populations through one shared `SpecScores` shard via
+//!   `resolve_batch`, each attempt nesting into the batched kernels. This
 //!   exercises exactly the nesting the old shim ran inline.
 //!
 //! Scores are bit-identical whatever the pool size (asserted against a
@@ -32,7 +32,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use netsyn_dsl::{Generator, GeneratorConfig};
 use netsyn_dsl::{IoSpec, Program};
-use netsyn_fitness::cache::SpecScores;
+use netsyn_fitness::cache::{resolve_batch, SpecScores};
 use netsyn_fitness::dataset::{generate_dataset, BalanceMetric, DatasetConfig};
 use netsyn_fitness::trainer::{train_fitness_model, FitnessModelKind, TrainerConfig};
 use netsyn_fitness::{FitnessFunction, LearnedFitness, TraceEncodingCache};
@@ -115,10 +115,10 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     );
 
     // The harness-shaped workload: K concurrent runs of one task share a
-    // SpecScores shard; each run claims its own population and scores it
-    // with a nested batched call. With work stealing the outer fan-out and
-    // the inner kernels both parallelize; at 1 thread everything runs
-    // inline — same results either way.
+    // SpecScores shard; each run resolves its own population, scoring the
+    // misses with a nested batched call. With work stealing the outer
+    // fan-out and the inner kernels both parallelize; at 1 thread
+    // everything runs inline — same results either way.
     group.bench_function(
         format!("concurrent_runs_{CONCURRENT_RUNS}x_t{threads}"),
         |bench| {
@@ -129,17 +129,9 @@ fn bench_parallel_scaling(c: &mut Criterion) {
                     .run_populations
                     .par_iter()
                     .map(|population| {
-                        let claims = shard.claim_many(population);
-                        let to_score: Vec<Program> = claims
-                            .iter()
-                            .zip(population)
-                            .filter(|(claim, _)| {
-                                matches!(claim, netsyn_fitness::cache::Claim::Claimed)
-                            })
-                            .map(|(_, program)| program.clone())
-                            .collect();
-                        let scores = w.fitness.score_batch_cached(&to_score, &w.spec, &traces);
-                        shard.publish_many(&to_score, &scores);
+                        let scores = resolve_batch(&shard, population, |batch| {
+                            w.fitness.score_batch_cached(batch, &w.spec, &traces)
+                        });
                         scores.iter().sum()
                     })
                     .collect();

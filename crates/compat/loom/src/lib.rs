@@ -6,8 +6,8 @@
 //!
 //! The workspace's bit-determinism contract rests on a few small, load-
 //! bearing concurrency protocols: the work-stealing pool's sleeper
-//! park/unpark, the fitness caches' claim/publish/wait/abandon protocol and
-//! the `Param` transpose hazard cell. Stress tests exercise those
+//! park/unpark, the fitness caches' first-write-wins publishes and the
+//! `Param` transpose hazard cell. Stress tests exercise those
 //! paths but cannot prove the absence of races. This crate provides a model
 //! checker that *can*, within explicit bounds: the protocol is rebuilt on
 //! `loom::sync` / `loom::thread` primitives (via `cfg(loom)` type aliases in

@@ -321,7 +321,7 @@ fn fabricate_no_timeout() -> std::sync::WaitTimeoutResult {
 
 /// Passthrough `std::sync::RwLock`. The workspace's model suites do not
 /// exercise reader-writer locks (the fitness shard maps are not part of the
-/// modelled claim protocols), so under the model this is *not*
+/// modelled publish races), so under the model this is *not*
 /// schedule-explored — it delegates to std. Kept so `loom::sync` stays a
 /// drop-in module path.
 pub use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};

@@ -21,39 +21,35 @@
 //!
 //! ## Concurrency
 //!
-//! The whole cache is `Sync` and designed for a real multi-thread pool (the
+//! The whole cache is `Sync` and shared by a real multi-thread pool (the
 //! workspace's rayon shim does work stealing, so the evaluation harness's
-//! task×run fan-out genuinely runs repetitions of one task concurrently,
-//! all sharing one shard):
+//! task×run fan-out runs repetitions of one task concurrently, all sharing
+//! one shard):
 //!
-//! * **Striped locking** — a [`SpecScores`] shard spreads its entries over
-//!   [`STRIPE_COUNT`] independently locked stripes keyed by the program's
-//!   hash, so concurrent lookups/inserts of different programs rarely
-//!   contend. Batch operations ([`SpecScores::claim_many`],
-//!   [`SpecScores::publish_many`]) group programs by stripe and take each
-//!   stripe lock once. No lock is ever held while scoring.
-//! * **In-flight claims** — scoring the same program twice from two threads
-//!   is wasted network inference (and makes memo-hit counters
-//!   nondeterministic), so a shard tracks *in-flight* programs: a thread
-//!   that intends to score first [`claims`](SpecScores::claim_many) the
-//!   program. Exactly one thread wins the claim and scores; the others see
-//!   [`Claim::Pending`] and [`wait`](SpecScores::wait) for the published
-//!   value instead of recomputing it — with one deliberate exception: a
-//!   thread that itself holds claims never blocks (see [`resolve_score`])
-//!   and recomputes the bit-identical value instead, so the exactly-once
-//!   property is "always, except the rare stolen-job-on-a-claimant's-stack
-//!   collision", never a hard invariant. Publishing is
-//!   **first-write-wins**: a score, once cached, is never overwritten (all
-//!   writers would write the bit-identical value anyway).
-//! * **Panic safety** — a claimant that dies before publishing would leave
-//!   waiters hanging; [`ClaimGuard`] abandons unpublished claims on drop,
-//!   waking waiters, who then re-claim and score the program themselves
-//!   (see [`resolve_score`]).
+//! * **Striped maps** — a [`SpecScores`] shard spreads its entries over
+//!   [`STRIPE_COUNT`] independently locked `FxHashMap<Program, f64>`
+//!   stripes keyed by the program's hash, so concurrent lookups and
+//!   publishes of different programs rarely contend. Batch operations
+//!   ([`SpecScores::get_many`], [`SpecScores::publish_many`]) group
+//!   programs by stripe and take each stripe lock once. No lock is ever
+//!   held while scoring.
+//! * **First write wins** — [`resolve_batch`] looks a batch up, scores the
+//!   misses with one `score_batch` call and publishes them; a published
+//!   score is never overwritten. Two threads that miss the same program at
+//!   the same moment both score it. Their scores are bit-identical by the
+//!   batched-scoring contract, so which write wins changes nothing. Such
+//!   duplicates are rare. Counting the missed programs that another thread
+//!   was already scoring at the time (e2ebench, seed 2021, 10 s per run)
+//!   found 1,270 of 1,599,014 on `edit_islands` (0.08%), none on `cf_cold`
+//!   or `cf_warm`, 47 of 1,803,301 on `cf_cold` with K = 10 runs per task
+//!   on an 8-thread pool, and 2 of 5,105,259 at K = 10 on a 2-thread pool.
+//! * **Panic safety** — nothing is reserved before scoring, so a scoring
+//!   call that panics leaves the shard exactly as it was, and a stripe lock
+//!   poisoned by a panic is recovered (see the crate-private `sync` module).
 
 use crate::encoding::TraceEncodingCache;
 use crate::persist::{DurableOptions, DurableStore, FlushStats, LoadReport, ScoreSnapshot};
-use crate::sync::{lock_recovering, read_recovering, wait_recovering, write_recovering};
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{lock_recovering, read_recovering, write_recovering, Mutex};
 use netsyn_dsl::{IoSpec, Program};
 use netsyn_nn::{FxHashMap, FxHasher};
 use std::collections::HashMap;
@@ -65,57 +61,35 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// A power of two so the stripe index is a mask of the hash.
 pub const STRIPE_COUNT: usize = 16;
 
-/// One cached entry: a published score, or a marker that some thread is
-/// currently computing it.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Done(f64),
-    InFlight,
-}
-
+/// One stripe's scores, plus — on shards of a durable cache — the dirty
+/// list: the scores first published since the durable tier last drained
+/// it. Each key is pushed at most once, when it is first published;
+/// in-memory caches keep no list and pay nothing.
 #[derive(Debug)]
 struct Stripe {
-    slots: Mutex<Slots>,
-    /// Signalled whenever a score is published into — or an in-flight claim
-    /// is abandoned from — this stripe.
-    published: Condvar,
-}
-
-/// One stripe's entries, plus — on shards of a durable cache — the dirty
-/// list: the scores first published since the durable tier last drained
-/// it. Each key is pushed at most once, when its slot first turns
-/// [`Slot::Done`]; in-memory caches keep no list and pay nothing.
-#[derive(Debug)]
-struct Slots {
-    map: FxHashMap<Program, Slot>,
+    map: FxHashMap<Program, f64>,
     dirty: Option<Vec<(Program, f64)>>,
 }
 
-impl Slots {
-    fn mark_dirty(&mut self, program: &Program, score: f64) {
+impl Stripe {
+    /// First write wins: stores `score` unless `program` already has one,
+    /// and queues each stored entry on the dirty list, if kept.
+    fn publish(&mut self, program: &Program, score: f64) {
+        if self.map.contains_key(program) {
+            return;
+        }
+        self.map.insert(program.clone(), score);
         if let Some(dirty) = &mut self.dirty {
             dirty.push((program.clone(), score));
         }
     }
 }
 
-/// The result of claiming a program for scoring.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Claim {
-    /// The score is already cached.
-    Hit(f64),
-    /// The caller now owns the claim: it must score the program and
-    /// [`publish`](SpecScores::publish) (or abandon) it.
-    Claimed,
-    /// Another thread holds the claim; [`SpecScores::wait`] for the value.
-    Pending,
-}
-
 /// Scores cached for one `(fitness, spec)` pair, striped for concurrent
 /// access (see the module docs).
 #[derive(Debug)]
 pub struct SpecScores {
-    stripes: Vec<Stripe>,
+    stripes: Vec<Mutex<Stripe>>,
 }
 
 impl Default for SpecScores {
@@ -128,12 +102,11 @@ impl SpecScores {
     /// An empty shard; with `recording`, its stripes keep dirty lists for
     /// the durable tier to drain.
     pub(crate) fn with_dirty_lists(recording: bool) -> Self {
-        let stripe = || Stripe {
-            slots: Mutex::new(Slots {
+        let stripe = || {
+            Mutex::new(Stripe {
                 map: FxHashMap::default(),
                 dirty: recording.then(Vec::new),
-            }),
-            published: Condvar::default(),
+            })
         };
         SpecScores {
             stripes: (0..STRIPE_COUNT).map(|_| stripe()).collect(),
@@ -152,48 +125,33 @@ fn stripe_index(program: &Program) -> usize {
 }
 
 impl SpecScores {
-    fn stripe(&self, program: &Program) -> &Stripe {
+    fn stripe(&self, program: &Program) -> &Mutex<Stripe> {
         &self.stripes[stripe_index(program)]
     }
 
     /// The cached score of `candidate`, if published.
     #[must_use]
     pub fn get(&self, candidate: &Program) -> Option<f64> {
-        match lock_recovering(&self.stripe(candidate).slots)
+        lock_recovering(self.stripe(candidate))
             .map
             .get(candidate)
-        {
-            Some(Slot::Done(score)) => Some(*score),
-            _ => None,
-        }
+            .copied()
     }
 
-    /// Caches one score (first write wins; a published score is never
-    /// overwritten, and any thread waiting on an in-flight claim for
-    /// `candidate` is woken).
+    /// Caches one score (first write wins: a published score is never
+    /// overwritten).
     pub fn insert(&self, candidate: Program, score: f64) {
-        let stripe = self.stripe(&candidate);
-        let mut slots = lock_recovering(&stripe.slots);
-        let in_flight = match slots.map.get(&candidate) {
-            Some(Slot::Done(_)) => return,
-            Some(Slot::InFlight) => true,
-            None => false,
-        };
-        slots.mark_dirty(&candidate, score);
-        slots.map.insert(candidate, Slot::Done(score));
-        if in_flight {
-            stripe.published.notify_all();
-        }
+        lock_recovering(self.stripe(&candidate)).publish(&candidate, score);
     }
 
     /// Caches scores read back from disk: first write wins, and nothing
     /// goes on the dirty list, so they are never appended again.
     pub(crate) fn insert_loaded(&self, entries: Vec<(Program, f64)>) {
         for (program, score) in entries {
-            lock_recovering(&self.stripe(&program).slots)
+            lock_recovering(self.stripe(&program))
                 .map
                 .entry(program)
-                .or_insert(Slot::Done(score));
+                .or_insert(score);
         }
     }
 
@@ -201,128 +159,35 @@ impl SpecScores {
     #[must_use]
     pub fn get_many(&self, programs: &[Program]) -> Vec<Option<f64>> {
         let mut out = vec![None; programs.len()];
-        self.for_each_stripe(Notify::Nobody, programs, |slots, index| {
-            if let Some(Slot::Done(score)) = slots.map.get(&programs[index]) {
-                out[index] = Some(*score);
-            }
+        self.for_each_stripe(programs, |stripe, index| {
+            out[index] = stripe.map.get(&programs[index]).copied();
         });
         out
     }
 
-    /// Claims a whole batch for scoring, taking each stripe lock once: for
-    /// each program, either its published score ([`Claim::Hit`]), ownership
-    /// of the scoring work ([`Claim::Claimed`] — the caller must publish or
-    /// abandon, see [`ClaimGuard`]), or [`Claim::Pending`] when another
-    /// thread already owns it.
-    #[must_use]
-    pub fn claim_many(&self, programs: &[Program]) -> Vec<Claim> {
-        let mut out = vec![Claim::Pending; programs.len()];
-        self.for_each_stripe(Notify::Nobody, programs, |slots, index| {
-            out[index] = match slots.map.get(&programs[index]) {
-                Some(Slot::Done(score)) => Claim::Hit(*score),
-                Some(Slot::InFlight) => Claim::Pending,
-                None => {
-                    slots.map.insert(programs[index].clone(), Slot::InFlight);
-                    Claim::Claimed
-                }
-            };
-        });
-        out
-    }
-
-    /// [`SpecScores::claim_many`] for a single program.
-    #[must_use]
-    pub fn claim(&self, program: &Program) -> Claim {
-        let mut slots = lock_recovering(&self.stripe(program).slots);
-        match slots.map.get(program) {
-            Some(Slot::Done(score)) => Claim::Hit(*score),
-            Some(Slot::InFlight) => Claim::Pending,
-            None => {
-                slots.map.insert(program.clone(), Slot::InFlight);
-                Claim::Claimed
-            }
-        }
-    }
-
-    /// Publishes one claimed score (equivalent to [`SpecScores::insert`]).
-    pub fn publish(&self, program: Program, score: f64) {
-        self.insert(program, score);
-    }
-
-    /// Publishes a batch of claimed scores, taking each stripe lock once
-    /// and waking every thread waiting on one of them.
+    /// Publishes one score per program, first write wins, taking each
+    /// stripe lock once.
     ///
     /// # Panics
     ///
-    /// Panics if `scores` is not exactly one value per program. This is a
-    /// hard assert (not `debug_assert`): silently truncating would leave
-    /// the unmatched programs `InFlight` forever with no owner, permanently
-    /// hanging any thread waiting on them — a panic instead trips the
-    /// caller's [`ClaimGuard`], which abandons the claims and wakes the
-    /// waiters.
+    /// Panics if `scores` is not exactly one value per program.
     pub fn publish_many(&self, programs: &[Program], scores: &[f64]) {
         assert_eq!(
             programs.len(),
             scores.len(),
-            "publish_many requires one score per claimed program"
+            "publish_many requires one score per program"
         );
-        self.for_each_stripe(Notify::Waiters, programs, |slots, index| {
-            // The common case is flipping this thread's own InFlight claim:
-            // update the slot in place (no key clone). First write wins —
-            // never replace a published score.
-            let (program, score) = (&programs[index], scores[index]);
-            match slots.map.get_mut(program) {
-                Some(Slot::Done(_)) => return,
-                Some(slot) => *slot = Slot::Done(score),
-                None => {
-                    slots.map.insert(program.clone(), Slot::Done(score));
-                }
-            }
-            slots.mark_dirty(program, score);
+        self.for_each_stripe(programs, |stripe, index| {
+            stripe.publish(&programs[index], scores[index]);
         });
     }
 
-    /// Drops the in-flight claims on `programs` that were never published,
-    /// waking waiters so they can re-claim (used on panic, see
-    /// [`ClaimGuard`]). Published entries are left untouched.
-    pub fn abandon_many(&self, programs: &[Program]) {
-        self.for_each_stripe(Notify::Waiters, programs, |slots, index| {
-            if let Some(Slot::InFlight) = slots.map.get(&programs[index]) {
-                slots.map.remove(&programs[index]);
-            }
-        });
-    }
-
-    /// Blocks until the in-flight claim on `program` resolves: `Some(score)`
-    /// once published, or `None` if the claim was abandoned (or never
-    /// existed) — the caller should then claim and score it itself.
-    #[must_use]
-    pub fn wait(&self, program: &Program) -> Option<f64> {
-        let stripe = self.stripe(program);
-        let mut slots = lock_recovering(&stripe.slots);
-        loop {
-            match slots.map.get(program) {
-                Some(Slot::Done(score)) => return Some(*score),
-                Some(Slot::InFlight) => {
-                    slots = wait_recovering(&stripe.published, slots);
-                }
-                None => return None,
-            }
-        }
-    }
-
-    /// Number of *published* scores (in-flight claims are not counted).
+    /// Number of published scores.
     #[must_use]
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|stripe| {
-                lock_recovering(&stripe.slots)
-                    .map
-                    .values()
-                    .filter(|slot| matches!(slot, Slot::Done(_)))
-                    .count()
-            })
+            .map(|stripe| lock_recovering(stripe).map.len())
             .sum()
     }
 
@@ -334,21 +199,22 @@ impl SpecScores {
 
     /// Every published `(program, score)` entry, in a deterministic order
     /// (sorted by the program's function ids) — the full image the durable
-    /// tier compacts to. In-flight claims are not included. Clears the
-    /// dirty lists under the same stripe locks, so every entry lands either
-    /// in this export or in a later [`SpecScores::drain_dirty`], never both.
+    /// tier compacts to. Clears the dirty lists under the same stripe
+    /// locks, so every entry lands either in this export or in a later
+    /// [`SpecScores::drain_dirty`], never both.
     pub(crate) fn export(&self) -> Vec<(Program, f64)> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
-            let mut slots = lock_recovering(&stripe.slots);
-            if let Some(dirty) = &mut slots.dirty {
+            let mut stripe = lock_recovering(stripe);
+            if let Some(dirty) = &mut stripe.dirty {
                 dirty.clear();
             }
-            for (program, slot) in slots.map.iter() {
-                if let Slot::Done(score) = slot {
-                    out.push((program.clone(), *score));
-                }
-            }
+            out.extend(
+                stripe
+                    .map
+                    .iter()
+                    .map(|(program, &score)| (program.clone(), score)),
+            );
         }
         out.sort_by_cached_key(|(program, _)| program.ids());
         out
@@ -360,7 +226,7 @@ impl SpecScores {
     pub(crate) fn drain_dirty(&self) -> Vec<(Program, f64)> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
-            if let Some(dirty) = &mut lock_recovering(&stripe.slots).dirty {
+            if let Some(dirty) = &mut lock_recovering(stripe).dirty {
                 out.append(dirty);
             }
         }
@@ -369,15 +235,8 @@ impl SpecScores {
     }
 
     /// Runs `body` once per program index, grouped so each stripe's lock is
-    /// acquired at most once for the whole batch; with [`Notify::Waiters`]
-    /// every waiter of each touched stripe is woken afterwards
-    /// (publish/abandon paths).
-    fn for_each_stripe(
-        &self,
-        notify: Notify,
-        programs: &[Program],
-        mut body: impl FnMut(&mut Slots, usize),
-    ) {
+    /// acquired at most once for the whole batch.
+    fn for_each_stripe(&self, programs: &[Program], mut body: impl FnMut(&mut Stripe, usize)) {
         let mut by_stripe: Vec<Vec<usize>> = vec![Vec::new(); STRIPE_COUNT];
         for (index, program) in programs.iter().enumerate() {
             by_stripe[stripe_index(program)].push(index);
@@ -386,171 +245,52 @@ impl SpecScores {
             if indices.is_empty() {
                 continue;
             }
-            {
-                let mut slots = lock_recovering(&stripe.slots);
-                for index in indices {
-                    body(&mut slots, index);
-                }
-            }
-            if notify == Notify::Waiters {
-                stripe.published.notify_all();
+            let mut stripe = lock_recovering(stripe);
+            for index in indices {
+                body(&mut stripe, index);
             }
         }
     }
 }
 
-/// Whether a batched stripe sweep wakes each touched stripe's waiters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Notify {
-    Nobody,
-    Waiters,
-}
-
-thread_local! {
-    /// Number of in-flight claims the current thread holds (armed
-    /// [`ClaimGuard`]s). Load-bearing for deadlock freedom: a thread that
-    /// holds claims must never *block* waiting on someone else's claim —
-    /// on the work-stealing pool, a claimant's scoring call enters the
-    /// pool's helping loop, which can execute a stolen sibling attempt on
-    /// the same stack; if that attempt blocked on a claim held by a frame
-    /// below it, the claimant could never resume to publish. Blocking only
-    /// when this counter is zero makes wait-for cycles impossible (every
-    /// blocked waiter holds nothing, and claimants always run to
-    /// completion), at the cost of an occasional duplicated — bit-identical
-    /// — score in exactly the stolen-job collision case.
-    static CLAIMS_HELD: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Panic-safe ownership of a batch of in-flight claims.
+/// Resolves a whole batch against `scores` — the shared engine of the GA's
+/// `evaluate_population` and the DFS neighborhood's `rank_neighbors`:
+/// published scores are served as hits, every miss is scored by **one**
+/// `score_batch` call, and the fresh scores are published first write wins.
+/// Scores land by input index, so the result is independent of scheduling.
 ///
-/// Holds the programs a thread has [`Claimed`](Claim::Claimed); on
-/// [`ClaimGuard::publish_scores`] the scores are published and the guard is
-/// disarmed. If the guard is dropped without publishing — the scoring call
-/// panicked — every still-unpublished claim is abandoned so waiting threads
-/// re-claim the programs instead of hanging forever. While armed, the guard
-/// marks the current thread as a claim holder (see `CLAIMS_HELD`).
-#[must_use]
-pub struct ClaimGuard<'a> {
-    scores: &'a SpecScores,
-    programs: &'a [Program],
-    armed: bool,
-}
-
-impl<'a> ClaimGuard<'a> {
-    /// Guards claims on `programs` (which the caller must have
-    /// successfully claimed) until published or dropped.
-    pub fn new(scores: &'a SpecScores, programs: &'a [Program]) -> Self {
-        CLAIMS_HELD.with(|held| held.set(held.get() + 1));
-        ClaimGuard {
-            scores,
-            programs,
-            armed: true,
-        }
-    }
-
-    /// Publishes one score per guarded program (in order) and disarms.
-    pub fn publish_scores(mut self, values: &[f64]) {
-        self.scores.publish_many(self.programs, values);
-        self.armed = false;
-        CLAIMS_HELD.with(|held| held.set(held.get() - 1));
-    }
-}
-
-impl Drop for ClaimGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.scores.abandon_many(self.programs);
-            CLAIMS_HELD.with(|held| held.set(held.get() - 1));
-        }
-    }
-}
-
-/// Resolves one program's score through the shard's claim protocol: serve
-/// the published value, or win the claim and compute it with `score` (a
-/// panic abandons the claim), or — when another thread owns the claim —
-/// wait for its published value, re-claiming if the owner abandons.
-///
-/// At most one thread runs `score` for a given program per shard in every
-/// ordinary race. The single exception is deliberate: if the *current
-/// thread already holds claims* (it is a stolen pool job running on a
-/// claimant's stack), blocking could dead-lock on a claim held by a lower
-/// frame of this very stack, so the score is recomputed locally instead —
-/// bit-identical by the batched-scoring contract, and first-write-wins
-/// publication keeps one canonical entry.
-pub fn resolve_score(
-    scores: &SpecScores,
-    program: &Program,
-    score: impl Fn(&Program) -> f64,
-) -> f64 {
-    loop {
-        match scores.claim(program) {
-            Claim::Hit(value) => return value,
-            Claim::Claimed => {
-                let owned = std::slice::from_ref(program);
-                let guard = ClaimGuard::new(scores, owned);
-                let value = score(program);
-                guard.publish_scores(&[value]);
-                return value;
-            }
-            Claim::Pending => {
-                if CLAIMS_HELD.with(std::cell::Cell::get) > 0 {
-                    // Never block while holding claims (see CLAIMS_HELD):
-                    // compute the bit-identical value ourselves and publish
-                    // it first-write-wins, leaving the owner's claim alone.
-                    let value = score(program);
-                    scores.insert(program.clone(), value);
-                    return value;
-                }
-                if let Some(value) = scores.wait(program) {
-                    return value;
-                }
-                // The claimant abandoned (panicked); loop and re-claim.
-            }
-        }
-    }
-}
-
-/// Resolves a whole batch through the claim protocol — the shared engine of
-/// the GA's `evaluate_population` and the DFS neighborhood's
-/// `rank_neighbors` (one implementation, so protocol fixes cannot drift):
-/// programs with published scores are served as hits; the programs this
-/// call wins are scored with **one** `score_batch` invocation and published
-/// (a panic abandons the claims, see [`ClaimGuard`]); programs another
-/// thread is scoring are awaited via [`resolve_score`]. Scores land by
-/// input index, so the result is independent of scheduling.
+/// A program another thread is scoring at the same moment is scored here
+/// too (see the module docs); both values are bit-identical, so the result
+/// is the same whichever publish lands first.
 ///
 /// `score_batch` must return one value per input program, in input order,
 /// bit-identical to per-program scoring (the workspace-wide contract).
+///
+/// # Panics
+///
+/// Panics, before publishing anything, if `score_batch` returns a different
+/// number of scores than it was given programs.
 pub fn resolve_batch(
     scores: &SpecScores,
     programs: &[Program],
     score_batch: impl Fn(&[Program]) -> Vec<f64>,
 ) -> Vec<f64> {
-    let mut resolved: Vec<Option<f64>> = vec![None; programs.len()];
-    let claims = scores.claim_many(programs);
-    let mut to_score: Vec<usize> = Vec::new();
-    let mut awaited: Vec<usize> = Vec::new();
-    for (index, claim) in claims.into_iter().enumerate() {
-        match claim {
-            Claim::Hit(value) => resolved[index] = Some(value),
-            Claim::Claimed => to_score.push(index),
-            Claim::Pending => awaited.push(index),
-        }
-    }
-    if !to_score.is_empty() {
-        let batch: Vec<Program> = to_score.iter().map(|&i| programs[i].clone()).collect();
-        let guard = ClaimGuard::new(scores, &batch);
+    let mut resolved = scores.get_many(programs);
+    let misses: Vec<usize> = (0..programs.len())
+        .filter(|&index| resolved[index].is_none())
+        .collect();
+    if !misses.is_empty() {
+        let batch: Vec<Program> = misses.iter().map(|&i| programs[i].clone()).collect();
         let fresh = score_batch(&batch);
-        debug_assert_eq!(fresh.len(), batch.len());
-        for (&index, &value) in to_score.iter().zip(fresh.iter()) {
+        assert_eq!(
+            fresh.len(),
+            batch.len(),
+            "score_batch must return one score per program"
+        );
+        scores.publish_many(&batch, &fresh);
+        for (&index, &value) in misses.iter().zip(&fresh) {
             resolved[index] = Some(value);
         }
-        guard.publish_scores(&fresh);
-    }
-    for index in awaited {
-        resolved[index] = Some(resolve_score(scores, &programs[index], |program| {
-            score_batch(std::slice::from_ref(program))[0]
-        }));
     }
     resolved
         .into_iter()
@@ -896,13 +636,11 @@ mod tests {
             for &g in &Function::ALL[..8] {
                 shard.insert(Program::new(vec![f, g]), i as f64);
             }
-            let claimed = vec![Program::new(vec![f, f, f])];
-            assert_eq!(shard.claim_many(&claimed), vec![Claim::Claimed]);
-            shard.publish_many(&claimed, &[0.5]);
+            shard.publish_many(&[Program::new(vec![f, f, f])], &[0.5]);
         }
         assert!(shard.len() > 100);
         for stripe in &shard.stripes {
-            assert!(lock_recovering(&stripe.slots).dirty.is_none());
+            assert!(lock_recovering(stripe).dirty.is_none());
         }
         assert!(shard.drain_dirty().is_empty());
     }
@@ -918,8 +656,6 @@ mod tests {
         scores.insert(programs[0].clone(), 1.0);
         scores.insert(programs[1].clone(), 1.0);
         scores.insert(programs[1].clone(), 2.0);
-        let _ = scores.claim_many(&programs[2..]);
-        scores.abandon_many(&programs[5..]);
         scores.publish_many(&programs[2..5], &[3.0, 4.0, 5.0]);
         scores.publish_many(&programs[1..3], &[6.0, 7.0]);
         let mut want: Vec<(Program, f64)> = vec![
@@ -950,68 +686,6 @@ mod tests {
         assert_eq!(scores.get(&program), Some(1.0));
     }
 
-    #[test]
-    fn claim_protocol_round_trip() {
-        let scores = SpecScores::default();
-        let programs: Vec<Program> = vec![
-            Program::new(vec![Function::Head]),
-            Program::new(vec![Function::Last]),
-            Program::new(vec![Function::Sum]),
-        ];
-        scores.insert(programs[0].clone(), 0.5);
-        let claims = scores.claim_many(&programs);
-        assert_eq!(claims[0], Claim::Hit(0.5));
-        assert_eq!(claims[1], Claim::Claimed);
-        assert_eq!(claims[2], Claim::Claimed);
-        // A second claimant sees the in-flight entries as pending.
-        assert_eq!(scores.claim(&programs[1]), Claim::Pending);
-        // In-flight claims are not published scores.
-        assert_eq!(scores.len(), 1);
-        assert_eq!(scores.get_many(&programs), vec![Some(0.5), None, None]);
-        scores.publish_many(&programs[1..], &[1.5, 2.5]);
-        assert_eq!(scores.len(), 3);
-        assert_eq!(
-            scores.get_many(&programs),
-            vec![Some(0.5), Some(1.5), Some(2.5)]
-        );
-        assert_eq!(scores.wait(&programs[2]), Some(2.5));
-    }
-
-    #[test]
-    fn abandoned_claims_unblock_waiters() {
-        let scores = SpecScores::default();
-        let program = Program::new(vec![Function::Reverse]);
-        assert_eq!(scores.claim(&program), Claim::Claimed);
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| scores.wait(&program));
-            // Give the waiter a moment to block, then abandon the claim.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            scores.abandon_many(std::slice::from_ref(&program));
-            assert_eq!(waiter.join().expect("waiter survives"), None);
-        });
-        // The program is claimable again.
-        assert_eq!(scores.claim(&program), Claim::Claimed);
-    }
-
-    #[test]
-    fn dropped_claim_guard_abandons_unpublished_claims() {
-        let scores = SpecScores::default();
-        let programs = vec![
-            Program::new(vec![Function::Head]),
-            Program::new(vec![Function::Last]),
-        ];
-        let claims = scores.claim_many(&programs);
-        assert!(claims.iter().all(|c| *c == Claim::Claimed));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = ClaimGuard::new(&scores, &programs);
-            panic!("scoring failed");
-        }));
-        assert!(result.is_err());
-        // Both claims were abandoned: they can be claimed afresh.
-        assert_eq!(scores.claim(&programs[0]), Claim::Claimed);
-        assert_eq!(scores.claim(&programs[1]), Claim::Claimed);
-    }
-
     /// Regression test for lock-poisoning fragility: a worker panicking
     /// while holding a stripe lock used to poison the `Mutex` and abort
     /// every later user of the shard. Published scores are first-write-wins
@@ -1028,20 +702,24 @@ mod tests {
         let stripe = scores.stripe(&sorted);
         std::thread::scope(|scope| {
             let worker = scope.spawn(|| {
-                let _guard = stripe.slots.lock().unwrap();
+                let _guard = stripe.lock().unwrap();
                 panic!("worker dies while holding the stripe lock");
             });
             assert!(worker.join().is_err());
         });
-        assert!(stripe.slots.is_poisoned());
+        assert!(stripe.is_poisoned());
 
         // Every operation on the shard still works: reads see the
-        // already-published score, writes and the claim protocol proceed.
+        // already-published score, and writes and resolution proceed.
         assert_eq!(scores.get(&sorted), Some(0.75));
         assert_eq!(scores.len(), 1);
         scores.insert(sorted.clone(), 9.0);
         assert_eq!(scores.get(&sorted), Some(0.75), "still first-write-wins");
-        assert_eq!(resolve_score(&scores, &head, |_| 2.0), 2.0);
+        let two = |batch: &[Program]| vec![2.0; batch.len()];
+        assert_eq!(
+            resolve_batch(&scores, std::slice::from_ref(&head), two),
+            vec![2.0]
+        );
         assert_eq!(
             scores.get_many(&[sorted, head]),
             vec![Some(0.75), Some(2.0)]
@@ -1082,15 +760,35 @@ mod tests {
         let _ = cache.trace_shard("nn-LCS");
     }
 
-    /// The satellite regression test: hammer one shard from N threads that
-    /// all try to score the same batch of programs through the claim
-    /// protocol. Every program must be scored by exactly one thread, and
-    /// every thread must observe the same published values. (Exactly-once
-    /// is deterministic here because these are plain threads holding no
-    /// other claims while they wait — the `resolve_score` no-block
-    /// recompute escape never triggers.)
     #[test]
-    fn n_threads_never_score_the_same_program_twice() {
+    fn a_short_score_batch_panics_before_publishing() {
+        let scores = SpecScores::with_dirty_lists(true);
+        let programs = vec![
+            Program::new(vec![Function::Head]),
+            Program::new(vec![Function::Last]),
+        ];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            resolve_batch(&scores, &programs, |batch| vec![1.0; batch.len() - 1])
+        }));
+        let payload = result.expect_err("a short batch must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("assert_eq! panics with a String");
+        assert!(
+            message.contains("score_batch must return one score per program"),
+            "unexpected panic: {message}"
+        );
+        assert!(scores.is_empty(), "nothing may be published");
+        assert!(scores.drain_dirty().is_empty());
+    }
+
+    /// Eight threads resolve overlapping batches on one durable shard. Two
+    /// threads may score the same program at once; the scorer is a pure
+    /// function of the program, as the batched-scoring contract demands, so
+    /// every caller must see one value per program, and each program must
+    /// be stored and queued for the durable tier exactly once.
+    #[test]
+    fn racing_resolves_agree_and_queue_each_program_once() {
         const THREADS: usize = 8;
         let programs: Vec<Program> = Function::ALL
             .iter()
@@ -1100,41 +798,44 @@ mod tests {
                     .map(move |&b| Program::new(vec![a, b]))
             })
             .collect();
-        let scores = SpecScores::default();
-        let score_calls: Vec<AtomicUsize> =
-            (0..programs.len()).map(|_| AtomicUsize::new(0)).collect();
-        let fake_score = |index: usize| (index as f64) * 0.25 + 1.0;
+        let fake_score = |program: &Program| {
+            program
+                .ids()
+                .iter()
+                .fold(1.0, |acc, &id| acc * 0.5 + id as f64)
+        };
+        let scores = SpecScores::with_dirty_lists(true);
+        let scored = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for thread in 0..THREADS {
-                let programs = &programs;
-                let scores = &scores;
-                let score_calls = &score_calls;
+                let (programs, scores, scored) = (&programs, &scores, &scored);
                 scope.spawn(move || {
-                    // Each thread walks the batch from a different offset so
-                    // claims genuinely interleave.
-                    let observed: Vec<f64> = (0..programs.len())
-                        .map(|i| {
-                            let index = (i + thread * 7) % programs.len();
-                            resolve_score(scores, &programs[index], |_| {
-                                score_calls[index].fetch_add(1, Ordering::SeqCst);
-                                fake_score(index)
-                            })
-                        })
+                    // Each thread walks the programs from a different
+                    // offset, in batches of 5 that overlap the others'.
+                    let order: Vec<Program> = (0..programs.len())
+                        .map(|i| programs[(i + thread * 7) % programs.len()].clone())
                         .collect();
-                    for (i, value) in observed.iter().enumerate() {
-                        let index = (i + thread * 7) % programs.len();
-                        assert_eq!(*value, fake_score(index));
+                    for batch in order.chunks(5) {
+                        let resolved = resolve_batch(scores, batch, |misses| {
+                            scored.fetch_add(misses.len(), Ordering::SeqCst);
+                            misses.iter().map(fake_score).collect()
+                        });
+                        for (program, value) in batch.iter().zip(resolved) {
+                            assert_eq!(value.to_bits(), fake_score(program).to_bits());
+                        }
                     }
                 });
             }
         });
-        for (index, calls) in score_calls.iter().enumerate() {
-            assert_eq!(
-                calls.load(Ordering::SeqCst),
-                1,
-                "program {index} must be scored exactly once across {THREADS} threads"
-            );
-        }
+        assert!(scored.load(Ordering::SeqCst) >= programs.len());
         assert_eq!(scores.len(), programs.len());
+        let dirty = scores.drain_dirty();
+        assert_eq!(dirty.len(), programs.len(), "each program queued once");
+        let mut queued: Vec<Vec<u8>> = dirty.iter().map(|(program, _)| program.ids()).collect();
+        queued.dedup();
+        assert_eq!(queued.len(), programs.len());
+        for (program, value) in dirty {
+            assert_eq!(scores.get(&program), Some(value));
+        }
     }
 }

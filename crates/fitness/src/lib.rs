@@ -88,7 +88,7 @@
 //!
 //! Scores can outlive the process: a cache opened with
 //! [`FitnessCache::durable`] loads previously persisted scores at startup
-//! (merged first-write-wins, exactly like in-flight publications) and
+//! (merged first write wins, exactly like concurrent publications) and
 //! appends new ones back to a checksummed record log, `scores.nsl` under
 //! the chosen directory (`NETSYN_CACHE_DIR` in the evaluation harness and
 //! examples). Scores round-trip as raw bit patterns, and shard keys embed
@@ -110,30 +110,30 @@
 //!
 //! ## Concurrency invariants (model-checked)
 //!
-//! The cache tier's cross-thread protocols are exercised under a loom-style
+//! The cache tier's cross-thread publishes are exercised under a loom-style
 //! schedule-exploring model checker (the workspace `loom` shim; CI job
 //! `model-check`, suite `tests/cache_model.rs`). The invariants the suite
 //! proves over every bounded interleaving:
 //!
-//! * **Exactly-once compute under claims** — when several threads race
-//!   [`SpecScores::claim`] on one candidate, exactly one observes
-//!   [`Claim::Claimed`] and computes; the rest hit the published score or
-//!   [`SpecScores::wait`] for it. The claim slot (`InFlight` marker) is
-//!   inserted atomically with the claim decision under the stripe lock.
-//! * **No leaked claims** — a worker that panics mid-compute abandons its
-//!   claims via [`ClaimGuard`]'s drop *before* the unwind leaves the
-//!   scoring call; `wait` then returns `None` and another thread re-claims.
-//!   No interleaving strands a waiter or loses the slot.
-//! * **First-write-wins convergence** — racing
+//! * **First write wins on scores** — when two threads
+//!   [`resolve_batch`](cache::resolve_batch) the same program at once, both
+//!   may score it (nothing is reserved before scoring), but the shard ends
+//!   with one entry, equal to the first publisher's value, and a published
+//!   score is never overwritten. The scores are bit-identical by the
+//!   batched-scoring contract, so a duplicate costs one scoring and changes
+//!   nothing; it is rare (at most 0.08% of the programs looked up on the
+//!   `edit_islands` e2ebench workload, none on the learned-fitness ones at
+//!   K = 2; see [`mod@cache`]).
+//! * **First-write-wins convergence on encodings** — racing
 //!   [`TraceEncodingCache::publish_many`] calls on one key converge on a
 //!   single canonical `Arc` (both publishers are handed the stored buffer),
 //!   so downstream batches share memory and bytes are identical whichever
 //!   thread won.
 //!
-//! Under `--cfg loom` the `Mutex`/`Condvar` behind the striped caches come
-//! from the model-checker shim (see [`mod@cache`] and the crate-private
-//! `sync` module); normal builds use `std::sync` types with identical
-//! behavior, so the production binary is unchanged.
+//! Under `--cfg loom` the `Mutex` behind the striped caches comes from the
+//! model-checker shim (see [`mod@cache`] and the crate-private `sync`
+//! module); normal builds use the `std::sync` type with identical behavior,
+//! so the production binary is unchanged.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -152,7 +152,7 @@ mod sync;
 pub mod trainer;
 mod traits;
 
-pub use cache::{Claim, ClaimGuard, FitnessCache, SpecScores};
+pub use cache::{FitnessCache, SpecScores};
 pub use edit::EditDistanceFitness;
 pub use encoding::{
     CandidateEncoding, EncodedStep, EncodingConfig, SpecEncoding, SpecEncodingCache,

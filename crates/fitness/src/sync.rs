@@ -5,24 +5,22 @@
 //! with plain `.expect(..)` every later user of the cache then aborts too,
 //! turning one failed scoring call into a process-wide outage. All cache
 //! state is safe to read after a panic — published scores and encodings are
-//! **first-write-wins immutable** (a partially applied batch is just a
-//! smaller set of published entries), and abandoned in-flight claims are
-//! cleaned up by `ClaimGuard` *before* the panic unwinds through the lock —
-//! so these helpers simply take the guard out of the `PoisonError` and
+//! **first-write-wins immutable**, a partially applied batch is just a
+//! smaller set of published entries, and nothing is reserved before scoring
+//! — so these helpers simply take the guard out of the `PoisonError` and
 //! carry on.
 //!
-//! Under `--cfg loom` (the CI `model-check` job) the `Mutex`/`Condvar`
-//! behind the striped caches come from the loom shim, making every
-//! claim/publish/wait/abandon step a scheduling point inside a
-//! `loom::model` run; outside a model run (and in all normal builds) they
-//! are `std::sync` primitives with identical behavior. `RwLock` is
-//! deliberately *not* switched: the shard-map locks are not part of the
-//! modelled claim protocols.
+//! Under `--cfg loom` (the CI `model-check` job) the `Mutex` behind the
+//! striped caches comes from the loom shim, making every stripe lock a
+//! scheduling point inside a `loom::model` run; outside a model run (and in
+//! all normal builds) it is the `std::sync` primitive with identical
+//! behavior. `RwLock` is deliberately *not* switched: the shard-map locks
+//! are not part of the modelled publish races.
 
 #[cfg(loom)]
-pub(crate) use loom::sync::{Condvar, Mutex, MutexGuard};
+pub(crate) use loom::sync::{Mutex, MutexGuard};
 #[cfg(not(loom))]
-pub(crate) use std::sync::{Condvar, Mutex, MutexGuard};
+pub(crate) use std::sync::{Mutex, MutexGuard};
 
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -41,15 +39,5 @@ pub(crate) fn read_recovering<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Take a write lock, recovering if poisoned.
 pub(crate) fn write_recovering<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Wait on a condvar, recovering the re-acquired guard if poisoned.
-pub(crate) fn wait_recovering<'a, T>(
-    condvar: &Condvar,
-    guard: MutexGuard<'a, T>,
-) -> MutexGuard<'a, T> {
-    condvar
-        .wait(guard)
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }

@@ -1,25 +1,25 @@
-//! Loom model suite for the fitness-cache claim/publish/wait protocol and
-//! the striped trace-encoding cache.
+//! Loom model suite for the fitness caches' first-write-wins publishes:
+//! the striped score shard and the striped trace-encoding cache.
 //!
-//! Invariant checked: **exactly-once compute under claims** — when several
-//! threads race to score the same candidate, exactly one wins the claim
-//! and computes; the others either hit the published score or wait and
-//! receive it. Abandoned claims (worker panic) are released so another
-//! thread re-claims — a claim is never leaked. The trace-encoding cache's
-//! first-write-wins publish must converge on one canonical `Arc` per key.
+//! Invariant checked: **first write wins** — when two threads resolve the
+//! same program at once, both may score it, but the shard ends with one
+//! entry equal to the first publisher's value, and no later publish
+//! changes a value a thread has already read back. The trace-encoding
+//! cache's first-write-wins publish must converge on one canonical `Arc`
+//! per key.
 //!
-//! Each seeded-bug test rebuilds the protocol shape with its load-bearing
-//! step removed and asserts the checker reports the resulting failure.
+//! The seeded-bug test rebuilds the publish with its load-bearing step
+//! removed and asserts the checker reports the resulting failure.
 //!
 //! Run with `RUSTFLAGS="--cfg loom" cargo test -p netsyn-fitness --test
 //! cache_model --release`.
 #![cfg(loom)]
 
 use loom::model::Builder;
-use loom::sync::atomic::{AtomicUsize, Ordering};
-use loom::sync::{Condvar, Mutex};
+use loom::sync::Mutex;
 use netsyn_dsl::{Function, Program};
-use netsyn_fitness::{Claim, ClaimGuard, SpecScores};
+use netsyn_fitness::cache::resolve_batch;
+use netsyn_fitness::SpecScores;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -44,188 +44,73 @@ fn catches(f: impl Fn() + Send + Sync + 'static) -> String {
     }
 }
 
-/// Two threads race `claim` on the same program: exactly one computes, the
-/// other waits and observes the published score. No interleaving computes
-/// twice or strands the waiter.
-#[test]
-fn claim_race_computes_exactly_once() {
-    let report = Builder::new().check(|| {
-        let scores = Arc::new(SpecScores::default());
-        let computes = Arc::new(AtomicUsize::new(0));
-        let racer = {
-            let scores = Arc::clone(&scores);
-            let computes = Arc::clone(&computes);
-            loom::thread::spawn(move || {
-                let candidate = program();
-                match scores.claim(&candidate) {
-                    Claim::Claimed => {
-                        computes.fetch_add(1, Ordering::SeqCst);
-                        scores.publish(candidate, 0.5);
-                        0.5
-                    }
-                    Claim::Hit(score) => score,
-                    Claim::Pending => scores.wait(&candidate).expect("claim never abandoned"),
-                }
-            })
-        };
-        let candidate = program();
-        let mine = match scores.claim(&candidate) {
-            Claim::Claimed => {
-                computes.fetch_add(1, Ordering::SeqCst);
-                scores.publish(candidate.clone(), 0.5);
-                0.5
-            }
-            Claim::Hit(score) => score,
-            Claim::Pending => scores.wait(&candidate).expect("claim never abandoned"),
-        };
-        let theirs = racer.join().unwrap();
-        assert_eq!(mine, 0.5);
-        assert_eq!(theirs, 0.5);
-        assert_eq!(
-            computes.load(Ordering::SeqCst),
-            1,
-            "exactly one thread must compute the score"
-        );
-        assert_eq!(scores.len(), 1);
-    });
-    assert!(report.complete, "schedule space must be fully explored");
-    assert!(report.iterations > 1, "protocol must actually interleave");
-}
-
-/// A claiming worker panics mid-compute; `ClaimGuard` abandons the claim
-/// during unwind, `wait` returns `None`, and the surviving thread
-/// re-claims and completes the score. The panic must never leak the claim.
-#[test]
-fn abandoned_claim_is_released_for_reclaim() {
-    let report = Builder::new().check(|| {
-        let scores = Arc::new(SpecScores::default());
-        let crasher = {
-            let scores = Arc::clone(&scores);
-            loom::thread::spawn(move || {
-                let candidates = [program()];
-                if let Claim::Claimed = scores.claim(&candidates[0]) {
-                    let guard = ClaimGuard::new(&scores, &candidates);
-                    let crash = catch_unwind(AssertUnwindSafe(|| {
-                        panic!("scoring failed");
-                    }));
-                    drop(guard); // unwind path: abandons, never publishes
-                    assert!(crash.is_err());
-                }
-            })
-        };
-        let candidate = program();
-        let score = loop {
-            match scores.claim(&candidate) {
-                Claim::Claimed => {
-                    scores.publish(candidate.clone(), 0.25);
-                    break 0.25;
-                }
-                Claim::Hit(score) => break score,
-                Claim::Pending => match scores.wait(&candidate) {
-                    Some(score) => break score,
-                    // Claim was abandoned — retry the claim ourselves.
-                    None => continue,
-                },
-            }
-        };
-        crasher.join().unwrap();
-        assert_eq!(score, 0.25);
-    });
-    assert!(report.complete, "schedule space must be fully explored");
-}
-
-/// Mini claim table reproducing the SpecScores slot protocol, used to seed
-/// bugs the real implementation does not have. `claim` returns true when
-/// the caller owns the compute; `publish` stores and notifies.
-struct MiniTable {
-    slots: Mutex<HashMap<&'static str, Option<f64>>>,
-    published: Condvar,
-}
-
-impl MiniTable {
-    fn new() -> Self {
-        MiniTable {
-            slots: Mutex::new(HashMap::new()),
-            published: Condvar::new(),
-        }
-    }
-
-    fn wait(&self, key: &'static str) -> Option<f64> {
-        let mut slots = self.slots.lock().unwrap();
-        loop {
-            match slots.get(key) {
-                Some(Some(score)) => return Some(*score),
-                Some(None) => slots = self.published.wait(slots).unwrap(),
-                None => return None,
-            }
-        }
-    }
-}
-
-/// Seeded bug: `claim` reports `Claimed` without inserting the in-flight
-/// marker, so the second racer also claims — both compute. The model
-/// checker must surface the duplicated compute.
-#[test]
-fn finds_double_compute_when_claim_skips_inflight_marker() {
-    let message = catches(|| {
-        let table = Arc::new(MiniTable::new());
-        let computes = Arc::new(AtomicUsize::new(0));
-        let claim_buggy = |table: &MiniTable| -> bool {
-            let slots = table.slots.lock().unwrap();
-            // BUG (seeded): an empty slot grants the claim but never
-            // inserts `None` (the in-flight marker), so a racer looking
-            // at the same empty slot claims too.
-            !slots.contains_key("k")
-        };
-        let racer = {
-            let table = Arc::clone(&table);
-            let computes = Arc::clone(&computes);
-            loom::thread::spawn(move || {
-                if claim_buggy(&table) {
-                    computes.fetch_add(1, Ordering::SeqCst);
-                    table.slots.lock().unwrap().insert("k", Some(1.0));
-                    table.published.notify_all();
-                }
-            })
-        };
-        if claim_buggy(&table) {
-            computes.fetch_add(1, Ordering::SeqCst);
-            table.slots.lock().unwrap().insert("k", Some(1.0));
-            table.published.notify_all();
-        }
-        racer.join().unwrap();
-        assert!(
-            computes.load(Ordering::SeqCst) <= 1,
-            "claim protocol must admit at most one compute"
-        );
-    });
+/// Two publishers race on one key. Each publishes its own value and reads
+/// the key back; the read-backs and the final value must all agree. Under
+/// first write wins they all equal the first publisher's value: the first
+/// publisher reads back its own value, and the second reads back the first's.
+/// A store that lets a later write replace an earlier one fails in the
+/// schedule where one thread reads back before the other publishes.
+fn assert_first_write_wins(read_backs: [f64; 2], last: f64) {
     assert!(
-        message.contains("at most one compute"),
-        "expected the duplicate-compute assertion, got: {message}"
+        read_backs[0] == last && read_backs[1] == last,
+        "first write must win: read back {read_backs:?}, final {last}"
     );
 }
 
-/// Seeded bug: `publish` stores the score but never notifies, so a waiter
-/// that blocked before the store sleeps forever — reported as deadlock.
+/// Two threads `resolve_batch` the same program. The scorers return
+/// different values, which the batched-scoring contract forbids in
+/// production, only so the model can tell which publish won.
 #[test]
-fn finds_stranded_waiter_when_publish_skips_notify() {
-    let message = catches(|| {
-        let table = Arc::new(MiniTable::new());
-        table.slots.lock().unwrap().insert("k", None); // in-flight
-        let publisher = {
-            let table = Arc::clone(&table);
-            loom::thread::spawn(move || {
-                // BUG (seeded): store without `published.notify_all()`.
-                table.slots.lock().unwrap().insert("k", Some(2.0));
-            })
+fn racing_resolves_keep_the_first_publish() {
+    let report = Builder::new().check(|| {
+        let scores = Arc::new(SpecScores::default());
+        let resolve = |scores: &SpecScores, value: f64| {
+            let candidate = [program()];
+            let returned = resolve_batch(scores, &candidate, |batch| vec![value; batch.len()]);
+            assert_eq!(returned.len(), 1);
+            scores.get(&candidate[0]).expect("published")
         };
-        let got = table.wait("k");
-        publisher.join().unwrap();
-        assert_eq!(got, Some(2.0));
+        let racer = {
+            let scores = Arc::clone(&scores);
+            loom::thread::spawn(move || resolve(&scores, 2.0))
+        };
+        let mine = resolve(&scores, 1.0);
+        let theirs = racer.join().unwrap();
+        assert_eq!(scores.len(), 1, "one entry per program");
+        assert_first_write_wins([mine, theirs], scores.get(&program()).unwrap());
+    });
+    assert!(report.complete, "schedule space must be fully explored");
+    assert!(
+        report.iterations > 1,
+        "the publishes must actually interleave"
+    );
+}
+
+/// Seeded bug: a publish that overwrites an existing entry lets the second
+/// writer win. The model checker must find the schedule where the first
+/// publisher has already read its value back.
+#[test]
+fn finds_the_second_writer_winning_when_publish_overwrites() {
+    let message = catches(|| {
+        let table = Arc::new(Mutex::new(HashMap::<&'static str, f64>::new()));
+        let publish = |table: &Mutex<HashMap<&'static str, f64>>, value: f64| {
+            // BUG (seeded): `insert` replaces a published score instead of
+            // leaving it (`entry(..).or_insert(..)`).
+            table.lock().unwrap().insert("k", value);
+            table.lock().unwrap()["k"]
+        };
+        let racer = {
+            let table = Arc::clone(&table);
+            loom::thread::spawn(move || publish(&table, 2.0))
+        };
+        let mine = publish(&table, 1.0);
+        let theirs = racer.join().unwrap();
+        let last = table.lock().unwrap()["k"];
+        assert_first_write_wins([mine, theirs], last);
     });
     assert!(
-        message.contains("deadlock"),
-        "expected a deadlock report, got: {message}"
+        message.contains("first write must win"),
+        "expected the first-write-wins assertion, got: {message}"
     );
 }
 

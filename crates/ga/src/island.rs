@@ -385,15 +385,14 @@ pub(crate) fn migrate_ring(islands: &mut [&mut Island], migration_size: usize) {
 /// slots, so the ranking — and the whole trajectory — is identical however
 /// many threads the pool runs.
 ///
-/// No shard lock is held while scoring, and concurrent runs (or islands) of
-/// the same task avoid scoring the same program twice: this run *claims* its
-/// unscored programs first (`SpecScores::claim_many`); programs another
-/// claimant is already scoring are awaited instead of recomputed (except in
-/// the rare no-block recompute escape documented on
-/// `netsyn_fitness::cache::resolve_score`), and a claimant that panics
-/// abandons its claims so waiters re-claim rather than hang. Cached, awaited
-/// and freshly computed scores are all bit-identical by the batched-scoring
-/// contract, so the trajectory is unaffected either way.
+/// The lookup, the one scoring call and the first-write-wins publish are
+/// `netsyn_fitness::cache::resolve_batch`; no shard lock is held while
+/// scoring. Concurrent runs (or islands) of the same task that miss the same
+/// program at the same moment both score it, which is rare (at most 0.08% of
+/// the programs looked up on the `edit_islands` e2ebench workload, none on
+/// the learned-fitness ones at K = 2). Cached and freshly computed scores are
+/// bit-identical by the batched-scoring contract, so the trajectory is the
+/// same whichever thread publishes first.
 pub(crate) fn evaluate_population<F>(
     population: &mut Population,
     fitness: &F,

@@ -71,7 +71,7 @@
 //! ## Cancellation semantics
 //!
 //! Nothing below the portfolio race is cancellable: a step always runs to
-//! its end, so no cache shard or claim guard is ever left half-updated. A
+//! its end, so no cache shard is ever left half-updated. A
 //! [`CancelToken`] is the race caller's stop switch. The race checks it
 //! between rounds, so a token fired before the race means zero draws, and
 //! a token fired during round `k` stops the race after round `k` is merged

@@ -262,12 +262,10 @@ where
 /// programs, so the batch needs no internal dedup.
 ///
 /// Scores land by neighbor index whatever thread computed them, so the
-/// ranking below is thread-count-independent. Under the claim protocol
-/// ([`netsyn_fitness::cache::resolve_batch`]) concurrent runs sharing the
-/// shard avoid scoring the same neighbor twice: losers of a claim race
-/// wait for the winner's bit-identical value (re-claiming if the winner
-/// panicked and abandoned; recomputing locally only in the no-block escape
-/// documented on `resolve_score`).
+/// ranking below is thread-count-independent. Concurrent runs sharing the
+/// shard ([`netsyn_fitness::cache::resolve_batch`]) may both score a
+/// neighbor neither has published yet; the values are bit-identical and
+/// the first publish wins, so the ranking is unaffected.
 fn rank_neighbors<F: FitnessFunction + ?Sized>(
     neighbors: &[Program],
     spec: &IoSpec,

@@ -177,7 +177,7 @@ const OUTCOME_MARKER: &str = "GA_OUTCOME_BYTES:";
 /// Subprocess entry point of the thread-count matrix: under
 /// `NETSYN_DETERMINISM_CHILD=1` (set only by the parent test below) this
 /// runs a cold synthesis plus a warm repeat on a shared cache — so the
-/// claim/publish scoring path, the striped trace shard and the DFS
+/// lookup/score/publish path, the striped trace shard and the DFS
 /// neighborhood memo are all exercised under whatever pool the environment
 /// configured — and prints the serialized cold outcome. In a normal test
 /// run (env unset) it is a no-op.
