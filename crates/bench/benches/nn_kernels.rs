@@ -101,7 +101,8 @@ fn bench_nn(c: &mut Criterion) {
         });
     });
 
-    // The dominant cost inside NetSyn: one NN-FF forward pass per candidate.
+    // One NN-FF pass over a single candidate (a batch of one, the path
+    // `LearnedFitness::score` takes) with a cold trace-encoding memo.
     let net = FitnessNet::new(FitnessNetConfig::small(6), EncodingConfig::new(), &mut rng);
     let generator = Generator::new(GeneratorConfig::for_length(5));
     let target = generator.program(&mut rng).unwrap();
@@ -109,11 +110,15 @@ fn bench_nn(c: &mut Criterion) {
     let candidate = generator.random_program(&mut rng);
     let spec_encoding = encode_spec(net.encoding(), &spec);
     let encoded = encode_candidate(net.encoding(), &spec, &candidate);
-    group.bench_function("fitness_net_forward_len5_m5", |bench| {
+    group.bench_function("fitness_net_batch_of_one_len5_m5", |bench| {
         bench.iter(|| {
             black_box(
-                net.predict(black_box(&spec_encoding), black_box(&encoded))
-                    .unwrap(),
+                net.predict_batch_with(
+                    black_box(&spec_encoding),
+                    std::slice::from_ref(black_box(&encoded)),
+                    &TraceEncodingCache::new(),
+                )
+                .unwrap(),
             )
         });
     });

@@ -146,19 +146,27 @@ impl ModelBundle {
     ///
     /// # Errors
     ///
-    /// Returns an error if the file cannot be read or parsed.
+    /// Returns an error if the file cannot be read or parsed, or if any
+    /// model's embedding tables disagree with its encoding
+    /// ([`TrainedFitnessModel::check_vocab`]).
     pub fn load_json<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json).map_err(std::io::Error::other)
+        let bundle: Self = serde_json::from_str(&json).map_err(std::io::Error::other)?;
+        for model in [&bundle.cf, &bundle.lcs, &bundle.fp] {
+            model.check_vocab()?;
+        }
+        Ok(bundle)
     }
 
-    /// Loads the bundle from `path` if it exists and parses, otherwise trains
-    /// a new one with `config` and saves it to `path`.
+    /// Loads the bundle from `path` if it exists and [`ModelBundle::load_json`]
+    /// accepts it, otherwise trains a new one with `config` and saves it to
+    /// `path`.
     ///
     /// A cached file that no longer parses (for example one written by an
-    /// older build with a different bundle schema) is treated as absent: the
-    /// bundle is retrained from `rng` and the stale file is overwritten, so a
-    /// schema change never wedges a cache directory.
+    /// older build with a different bundle schema) or whose models fail the
+    /// vocabulary check is treated as stale: the bundle is retrained from
+    /// `rng` and the file is overwritten, so neither wedges a cache
+    /// directory.
     ///
     /// # Errors
     ///
@@ -226,6 +234,66 @@ mod tests {
         assert_eq!(trained.lcs.net, loaded.lcs.net);
         assert_eq!(trained.fp.net, loaded.fp.net);
         assert_eq!(trained.fp.kind, loaded.fp.kind);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Drops the last row of the first function-embedding table in a
+    /// serialized bundle (the CF net's value and gradient matrices), so the
+    /// table is one row short of the net's `EncodingConfig`.
+    fn drop_last_function_row(json: &str) -> String {
+        let table = json.find(r#""function_embedding":"#).unwrap();
+        let (mut out, mut rest) = (json[..table].to_string(), &json[table..]);
+        for _matrix in ["value", "grad"] {
+            let at = rest.find(r#"{"rows":"#).unwrap();
+            out.push_str(&rest[..at]);
+            let end = at + rest[at..].find(']').unwrap();
+            // `{"rows":R,"cols":C,"data":[x,x,...`
+            let (shape, data) = rest[at..end].split_once(r#","data":["#).unwrap();
+            let (rows, cols) = shape[r#"{"rows":"#.len()..]
+                .split_once(r#","cols":"#)
+                .unwrap();
+            let (rows, cols): (usize, usize) = (rows.parse().unwrap(), cols.parse().unwrap());
+            let kept: Vec<&str> = data.split(',').take((rows - 1) * cols).collect();
+            let rows = rows - 1;
+            out.push_str(&format!(
+                r#"{{"rows":{rows},"cols":{cols},"data":[{}"#,
+                kept.join(",")
+            ));
+            rest = &rest[end..];
+        }
+        out.push_str(rest);
+        out
+    }
+
+    #[test]
+    fn a_bundle_with_a_short_function_table_is_stale() {
+        // A corrupt or hand-edited checkpoint: the CF net's function
+        // embedding has one row fewer than its encoding's vocabulary. Loaded
+        // as is, the batched network rejects the whole batch of any
+        // candidate using the missing operator.
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let config = BundleTrainingConfig::tiny(2);
+        let dir = std::env::temp_dir().join("netsyn_core_short_table_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bundle_len2.json");
+        let bundle = ModelBundle::train(&config, &mut rng).unwrap();
+        let json = serde_json::to_string(&bundle).unwrap();
+        std::fs::write(&path, drop_last_function_row(&json)).unwrap();
+
+        let err = ModelBundle::load_json(&path).unwrap_err().to_string();
+        assert!(
+            err.contains(
+                "CF model: could not deserialize model: the function embedding table has 40 rows"
+            ),
+            "{err}"
+        );
+        let retrained = ModelBundle::load_or_train(&path, &config, &mut rng).unwrap();
+        for model in [&retrained.cf, &retrained.lcs, &retrained.fp] {
+            model.check_vocab().unwrap();
+        }
+        // The stale file was overwritten with a consistent bundle.
+        let reloaded = ModelBundle::load_json(&path).unwrap();
+        assert_eq!(reloaded.cf.net, retrained.cf.net);
         std::fs::remove_file(&path).ok();
     }
 

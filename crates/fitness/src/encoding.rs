@@ -24,7 +24,7 @@
 //! * [`CandidateEncoding`] — the per-candidate execution traces only, built
 //!   by [`encode_candidate`] / [`encode_candidates`].
 //!
-//! `FitnessNet::predict_batch` consumes the two parts separately, so the
+//! `FitnessNet::predict_batch_with` consumes the two parts separately, so the
 //! spec tokens are never cloned into per-candidate samples (and never need
 //! to be re-deduplicated out of them).
 

@@ -11,7 +11,7 @@
 //!   and also exposes it for FP-guided mutation.
 
 use crate::encoding::{
-    encode_candidate, encode_candidates, encode_spec, SpecEncodingCache, TraceEncodingCache,
+    encode_candidates, encode_spec, CandidateEncoding, SpecEncodingCache, TraceEncodingCache,
 };
 use crate::probability::ProbabilityMap;
 use crate::trainer::{FitnessModelKind, TrainedFitnessModel};
@@ -48,13 +48,15 @@ impl LearnedFitness {
     /// # Panics
     ///
     /// Panics if the model is an FP model (use [`LearnedProbabilityModel`]
-    /// and [`ProbabilityFitness`] for that).
+    /// and [`ProbabilityFitness`] for that), or if its embedding tables
+    /// disagree with its encoding ([`crate::FitnessNet::check_vocab`]).
     #[must_use]
     pub fn new(mut model: TrainedFitnessModel) -> Self {
         assert!(
             model.kind != FitnessModelKind::FunctionProbability,
             "use ProbabilityFitness for FP models"
         );
+        assert_consistent(&model);
         let name = format!("nn-{}", model.kind);
         let cache_key = format!("{name}#{:016x}", model.net.weight_fingerprint());
         LearnedFitness {
@@ -92,17 +94,30 @@ impl LearnedFitness {
     }
 
     /// How many distinct trace values this instance's *own* memo ran
-    /// through the step encoder (misses of the instance cache; batches
-    /// scored through [`FitnessFunction::score_batch_cached`] count against
-    /// the external shard instead).
+    /// through the step encoder (misses of the instance cache, which
+    /// `score` and `score_batch` use; batches scored through
+    /// [`FitnessFunction::score_batch_cached`] count against the external
+    /// shard instead).
     #[must_use]
     pub fn trace_encode_count(&self) -> usize {
         self.trace_cache.encode_count()
     }
 }
 
-/// The expected class value under the softmax of `logits` — the smooth
-/// fitness signal both the single and the batched scoring paths share.
+/// Panics unless the model's embedding tables match its encoding, which
+/// makes every token the scoring paths encode with it in range.
+fn assert_consistent(model: &TrainedFitnessModel) {
+    if let Err(err) = model.net.check_vocab() {
+        panic!("inconsistent {} fitness model: {err}", model.kind);
+    }
+}
+
+/// The message of the batched passes' `expect`: [`assert_consistent`] ran at
+/// construction, so an out-of-range token is a bug.
+const IN_RANGE: &str = "tokens encoded with the model's own EncodingConfig are in range";
+
+/// The expected class value under the softmax of `logits` — the readout of
+/// every logit row the batched scoring path returns.
 fn expected_class_value(logits: &[f32]) -> f64 {
     let probs = softmax(logits);
     probs
@@ -125,15 +140,9 @@ impl FitnessFunction for LearnedFitness {
         self.cache_key.clone()
     }
 
+    /// A batch of one through [`FitnessFunction::score_batch`].
     fn score(&self, candidate: &Program, spec: &IoSpec) -> f64 {
-        let spec_encoding = self
-            .spec_cache
-            .get_or_encode(self.model.net.encoding(), spec);
-        let encoded = encode_candidate(self.model.net.encoding(), spec, candidate);
-        match self.model.net.predict(&spec_encoding, &encoded) {
-            Ok(logits) => expected_class_value(&logits),
-            Err(_) => 0.0,
-        }
+        self.score_batch(std::slice::from_ref(candidate), spec)[0]
     }
 
     /// Batched scoring: [`FitnessFunction::score_batch_cached`] against the
@@ -148,9 +157,8 @@ impl FitnessFunction for LearnedFitness {
     /// zero-copy with the network; every candidate's traces run through one
     /// batched forward pass (`FitnessNet::predict_batch_with`, reusing the
     /// trace-value encodings memoized in `traces` across generations and
-    /// runs) and each logit row is converted with the same expected-value
-    /// readout as [`FitnessFunction::score`] — scores are bit-identical to
-    /// the per-candidate path.
+    /// runs) and each logit row is read out as its expected class value —
+    /// bit-identical to the per-sample `FitnessNet::predict` oracle.
     fn score_batch_cached(
         &self,
         candidates: &[Program],
@@ -161,23 +169,13 @@ impl FitnessFunction for LearnedFitness {
             .spec_cache
             .get_or_encode(self.model.net.encoding(), spec);
         let encoded = encode_candidates(self.model.net.encoding(), spec, candidates);
-        match self
-            .model
+        self.model
             .net
             .predict_batch_with(&spec_encoding, &encoded, traces)
-        {
-            Ok(rows) => rows
-                .iter()
-                .map(|logits| expected_class_value(logits))
-                .collect(),
-            // A batched failure cannot tell which candidate was invalid;
-            // fall back to the per-candidate path so error semantics (0.0
-            // for the offending candidates only) are preserved.
-            Err(_) => candidates
-                .iter()
-                .map(|candidate| self.score(candidate, spec))
-                .collect(),
-        }
+            .expect(IN_RANGE)
+            .iter()
+            .map(|logits| expected_class_value(logits))
+            .collect()
     }
 
     fn max_score(&self) -> f64 {
@@ -201,13 +199,15 @@ impl LearnedProbabilityModel {
     ///
     /// # Panics
     ///
-    /// Panics if the model is not an FP model.
+    /// Panics if the model is not an FP model, or if its embedding tables
+    /// disagree with its encoding ([`crate::FitnessNet::check_vocab`]).
     #[must_use]
     pub fn new(model: TrainedFitnessModel) -> Self {
         assert!(
             model.kind == FitnessModelKind::FunctionProbability,
             "LearnedProbabilityModel requires an FP model"
         );
+        assert_consistent(&model);
         LearnedProbabilityModel { model }
     }
 
@@ -217,20 +217,22 @@ impl LearnedProbabilityModel {
         &self.model
     }
 
-    /// Predicts the probability map for a specification. The map covers the
+    /// Predicts the probability map for a specification: one batched pass
+    /// over a [`CandidateEncoding::spec_only`] candidate. The map covers the
     /// vocabulary of the domain the model was trained on
     /// (`EncodingConfig::domain`).
     #[must_use]
     pub fn probability_map(&self, spec: &IoSpec) -> ProbabilityMap {
-        let domain = self.model.net.encoding().domain;
-        let encoded = encode_spec(self.model.net.encoding(), spec);
-        match self.model.net.predict_spec(&encoded) {
-            Ok(logits) => {
-                let probs: Vec<f64> = logits.iter().map(|&z| f64::from(sigmoid(z))).collect();
-                ProbabilityMap::new_for(domain, probs)
-            }
-            Err(_) => ProbabilityMap::uniform_for(domain),
-        }
+        let net = &self.model.net;
+        let logits = net
+            .predict_batch_with(
+                &encode_spec(net.encoding(), spec),
+                &[CandidateEncoding::spec_only()],
+                &TraceEncodingCache::new(),
+            )
+            .expect(IN_RANGE);
+        let probs = logits[0].iter().map(|&z| f64::from(sigmoid(z))).collect();
+        ProbabilityMap::new_for(net.encoding().domain, probs)
     }
 }
 
@@ -399,6 +401,25 @@ mod tests {
     fn learned_fitness_rejects_fp_models() {
         let model = trained_fp_model(3, 4);
         let _ = LearnedFitness::new(model);
+    }
+
+    /// `model` with its encoding relabeled to the string domain: its
+    /// 41-row function table no longer matches the 18-token vocabulary.
+    fn relabeled(model: &TrainedFitnessModel) -> TrainedFitnessModel {
+        let json = serde_json::to_string(model).unwrap();
+        serde_json::from_str(&json.replace(r#""domain":"List""#, r#""domain":"Str""#)).unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "inconsistent CF fitness model")]
+    fn learned_fitness_rejects_inconsistent_models() {
+        let _ = LearnedFitness::new(relabeled(&trained_cf_model(3, 8)));
+    }
+
+    #[test]
+    #[should_panic(expected = "inconsistent FP fitness model")]
+    fn probability_model_rejects_inconsistent_models() {
+        let _ = LearnedProbabilityModel::new(relabeled(&trained_fp_model(3, 9)));
     }
 
     #[test]

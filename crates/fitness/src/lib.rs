@@ -48,15 +48,26 @@
 //! `score`; the neural implementations override it —
 //! [`LearnedFitness::score_batch`](FitnessFunction::score_batch) passes the
 //! shared [`SpecEncoding`] and the batch of [`CandidateEncoding`]s to
-//! [`FitnessNet::predict_batch`], which encodes the spec's sequences once,
-//! dedups repeated trace-value token sequences across the batch, and steps
-//! every LSTM stage over all sequences together in flat row-major buffers
-//! before the head classifies the batch with one GEMM.
+//! [`FitnessNet::predict_batch_with`], which encodes the spec's sequences
+//! once, dedups repeated trace-value token sequences across the batch, and
+//! steps every LSTM stage over all sequences together in flat row-major
+//! buffers before the head classifies the batch with one GEMM.
+//!
+//! That batched pass is the network's one shipped inference path:
+//! `LearnedFitness::score` is a batch of one, and
+//! [`LearnedProbabilityModel::probability_map`] a batch of one spec-only
+//! candidate. The per-sample `FitnessNet::{forward, predict, predict_spec,
+//! backward}` remain as the reference oracle for
+//! [`trainer::train_fitness_model_reference`] and the equivalence tests.
+//! Every token a model's own [`EncodingConfig`] produces is in range once
+//! [`FitnessNet::check_vocab`] passes, which the model loaders and the
+//! learned-fitness constructors check.
 //!
 //! Batching is a pure performance optimization: every override returns
 //! scores **bit-identical** to the per-candidate path (asserted by the
 //! `score_batch_equivalence` integration tests for the CF, LCS and FP
-//! models), so GA search trajectories are unchanged.
+//! models, against the per-sample oracle too), so GA search trajectories
+//! are unchanged.
 //!
 //! ## Score caching
 //!

@@ -211,13 +211,50 @@ impl FitnessNet {
         hasher.finish()
     }
 
-    /// Forward pass over one candidate against a shared specification
+    /// Checks that the embedding tables have exactly the rows the
+    /// [`EncodingConfig`] can address: both value encoders
+    /// [`EncodingConfig::value_vocab_size`], the function embedding
+    /// [`EncodingConfig::function_vocab_size`]. A net built by
+    /// [`FitnessNet::new`] always passes; a corrupt or hand-edited checkpoint
+    /// may not, and then every batched pass would fail. Model loaders run
+    /// this once, so the scoring and training paths can treat an
+    /// out-of-range token as a bug.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::Deserialize`] naming the first table that
+    /// disagrees with the encoding.
+    pub fn check_vocab(&self) -> Result<(), NnError> {
+        let value_vocab = self.encoding.value_vocab_size();
+        let tables = [
+            ("io encoder", self.io_encoder.vocab_size(), value_vocab),
+            ("step encoder", self.step_encoder.vocab_size(), value_vocab),
+            (
+                "function embedding",
+                self.function_embedding.vocab_size(),
+                self.encoding.function_vocab_size(),
+            ),
+        ];
+        for (table, rows, expected) in tables {
+            if rows != expected {
+                return Err(NnError::Deserialize(format!(
+                    "the {table} table has {rows} rows but the encoding has {expected} tokens"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Per-sample forward pass over one candidate against a specification
     /// encoding, returning the raw output logits and the cache needed for
     /// [`FitnessNet::backward`].
     ///
-    /// The specification half is passed separately (see
-    /// [`crate::encoding::encode_spec`]) so callers scoring many candidates
-    /// against one spec share a single encoding zero-copy.
+    /// This and the other per-sample methods ([`FitnessNet::predict`],
+    /// [`FitnessNet::predict_spec`], [`FitnessNet::backward`]) are the
+    /// reference oracle: [`crate::trainer::train_fitness_model_reference`]
+    /// and the equivalence tests use them to pin the batched kernels
+    /// ([`FitnessNet::predict_batch_with`], [`FitnessNet::forward_batch_train`],
+    /// [`FitnessNet::backward_batch`]), which every shipped caller uses.
     ///
     /// # Errors
     ///
@@ -268,7 +305,7 @@ impl FitnessNet {
         ))
     }
 
-    /// Convenience forward pass that discards the cache.
+    /// Per-sample forward pass that discards the cache (reference oracle).
     ///
     /// # Errors
     ///
@@ -281,8 +318,8 @@ impl FitnessNet {
         self.forward(spec, candidate).map(|(logits, _)| logits)
     }
 
-    /// Forward pass over the specification alone (the FP head's input — no
-    /// candidate, no traces).
+    /// Per-sample forward pass over the specification alone (the FP head's
+    /// input — no candidate, no traces; reference oracle).
     ///
     /// # Errors
     ///
@@ -292,49 +329,34 @@ impl FitnessNet {
     }
 
     /// Batched inference over many candidates sharing one specification
-    /// encoding — the hot path when a whole GA population is scored per
-    /// generation.
+    /// encoding — the one shipped inference path: a whole GA population is
+    /// scored per generation, and the FP head scores a specification as a
+    /// batch of one [`CandidateEncoding::spec_only`].
     ///
     /// All four network stages run over the entire batch at once: the IO
     /// encoder sees the shared specification exactly once (candidates carry
     /// no IO tokens at all, so there is nothing to deduplicate), the
     /// trace-step encoder processes every *distinct* trace value of every
     /// candidate in one batched call, and the trace and example LSTMs step
-    /// all sequences together over flat row-major buffers (see
-    /// [`Lstm::forward_batch_flat`]). Returns one logit vector per
-    /// candidate, in input order, bit-identical to per-candidate
-    /// [`FitnessNet::predict`] calls.
+    /// all sequences together (a prefix-sharing [`SequenceTrie`] and a
+    /// time-major [`TimeMajorBatch`]). Returns one logit vector per
+    /// candidate, in input order, bit-identical to the per-sample
+    /// [`FitnessNet::predict`] oracle.
+    ///
+    /// Trace values whose step-encoder hidden state an earlier batch
+    /// computed — a previous GA generation, or a previous run of the same
+    /// task sharing `trace_cache` — are served from the memo, and only the
+    /// genuinely new values run through the step encoder. The step encoder
+    /// is a batch-independent function of each token sequence, so a warm
+    /// cache returns bit-identical logits; `trace_cache` must be reserved
+    /// to this network's weights (see [`TraceEncodingCache`]).
     ///
     /// # Errors
     ///
     /// Returns [`NnError::VocabOutOfRange`] if any token of any candidate is
-    /// outside the configured vocabularies. Unlike the per-candidate path
-    /// the whole batch fails, so callers that need per-candidate error
-    /// isolation should fall back to [`FitnessNet::predict`] on error.
-    pub fn predict_batch(
-        &self,
-        spec: &SpecEncoding,
-        candidates: &[CandidateEncoding],
-    ) -> Result<Vec<Vec<f32>>, NnError> {
-        self.predict_batch_with(spec, candidates, &TraceEncodingCache::new())
-    }
-
-    /// [`FitnessNet::predict_batch`] with a long-lived [`TraceEncodingCache`]:
-    /// trace values whose step-encoder hidden state was computed by an
-    /// earlier batch — a previous GA generation, or a previous run of the
-    /// same task sharing the cache — are served from the memo, and only the
-    /// genuinely new values run through the step encoder.
-    ///
-    /// The step encoder is a batch-independent function of each token
-    /// sequence (the trie-batched LSTM is bit-identical to per-sequence
-    /// calls), so a warm cache returns bit-identical logits; `trace_cache`
-    /// must be reserved to this network's weights (see
-    /// [`TraceEncodingCache`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FitnessNet::predict_batch`]. Nothing is cached from a
-    /// failed call.
+    /// outside the configured vocabularies; the whole batch fails and
+    /// nothing is cached. Inputs encoded with [`FitnessNet::encoding`] are
+    /// always in range for a net that passes [`FitnessNet::check_vocab`].
     pub fn predict_batch_with(
         &self,
         spec: &SpecEncoding,
@@ -444,7 +466,9 @@ impl FitnessNet {
                 flat_example += 1;
             }
         }
-        let summaries = self.example_lstm.forward_batch_flat(&example_batch);
+        let summaries = self
+            .example_lstm
+            .forward_batch_time_major(&TimeMajorBatch::from_batch(&example_batch));
 
         // Stage 5: classify all summaries with one batched head pass.
         let mut summary_mat = Matrix::zeros(candidates.len(), self.config.example_hidden_dim);
@@ -465,16 +489,14 @@ impl FitnessNet {
     /// per-sample [`FitnessNet::forward`] calls, plus the cache
     /// [`FitnessNet::backward_batch`] consumes.
     ///
-    /// Unlike [`FitnessNet::predict_batch`] nothing is deduplicated: training
-    /// needs one gradient contribution per occurrence, so repeated specs or
-    /// trace values are encoded repeatedly on purpose.
+    /// Unlike [`FitnessNet::predict_batch_with`] nothing is deduplicated:
+    /// training needs one gradient contribution per occurrence, so repeated
+    /// specs or trace values are encoded repeatedly on purpose.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::VocabOutOfRange`] if any token of any sample is out
-    /// of range. The whole batch fails; callers needing per-sample error
-    /// isolation (the trainer's skip-on-error contract) should fall back to
-    /// the per-sample path for the failing batch.
+    /// of range; the whole batch fails.
     pub fn forward_batch_train(
         &self,
         samples: &[(&SpecEncoding, &CandidateEncoding)],
@@ -638,8 +660,9 @@ impl FitnessNet {
             .backward_batch(&cache.step_cache, &grad_step_hidden);
     }
 
-    /// Backward pass: accumulates gradients in every component given the
-    /// gradient of the loss with respect to the output logits.
+    /// Per-sample backward pass (reference oracle): accumulates gradients in
+    /// every component given the gradient of the loss with respect to the
+    /// output logits.
     pub fn backward(&mut self, cache: &FitnessNetCache, grad_logits: &[f32]) {
         let grad_summary = self.head.backward(&cache.head_cache, grad_logits);
         let example_grads = self
@@ -771,7 +794,9 @@ mod tests {
             .iter()
             .map(|c| encode_candidate(net.encoding(), &spec(), c))
             .collect();
-        let batched = net.predict_batch(&spec_encoding, &encodings).unwrap();
+        let batched = net
+            .predict_batch_with(&spec_encoding, &encodings, &TraceEncodingCache::new())
+            .unwrap();
         assert_eq!(batched.len(), encodings.len());
         for (candidate, batch_logits) in encodings.iter().zip(batched.iter()) {
             let single = net.predict(&spec_encoding, candidate).unwrap();
@@ -780,7 +805,10 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        assert!(net.predict_batch(&spec_encoding, &[]).unwrap().is_empty());
+        assert!(net
+            .predict_batch_with(&spec_encoding, &[], &TraceEncodingCache::new())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -824,7 +852,9 @@ mod tests {
             .predict_batch_with(&spec_encoding, &mixed, &cache)
             .unwrap();
         assert!(cache.encode_count() > cold_encodes);
-        let uncached = net.predict_batch(&spec_encoding, &mixed).unwrap();
+        let uncached = net
+            .predict_batch_with(&spec_encoding, &mixed, &TraceEncodingCache::new())
+            .unwrap();
         for (a_row, b_row) in mixed_out.iter().zip(uncached.iter()) {
             for (a, b) in a_row.iter().zip(b_row.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -841,7 +871,11 @@ mod tests {
         let with_trace = encode_candidate(net.encoding(), &spec(), &target());
         let spec_only = CandidateEncoding::spec_only();
         let batched = net
-            .predict_batch(&spec_encoding, &[spec_only.clone(), with_trace.clone()])
+            .predict_batch_with(
+                &spec_encoding,
+                &[spec_only.clone(), with_trace.clone()],
+                &TraceEncodingCache::new(),
+            )
             .unwrap();
         for (candidate, batch_logits) in [spec_only, with_trace].iter().zip(batched.iter()) {
             let single = net.predict(&spec_encoding, candidate).unwrap();
@@ -988,6 +1022,26 @@ mod tests {
             last_loss < first_loss.unwrap() * 0.5,
             "loss did not decrease: {first_loss:?} -> {last_loss}"
         );
+    }
+
+    #[test]
+    fn check_vocab_rejects_tables_that_disagree_with_the_encoding() {
+        let mut net = FitnessNet::new(tiny_config(6), EncodingConfig::new(), &mut rng());
+        assert_eq!(net.check_vocab(), Ok(()));
+        let mut short = net.clone();
+        short.function_embedding = Embedding::new(
+            net.encoding.function_vocab_size() - 1,
+            net.config.function_embed_dim,
+            &mut rng(),
+        );
+        let err = short.check_vocab().unwrap_err().to_string();
+        assert!(
+            err.contains("function embedding table has 40 rows"),
+            "{err}"
+        );
+        net.encoding.max_abs_value += 1;
+        let err = net.check_vocab().unwrap_err().to_string();
+        assert!(err.contains("io encoder table"), "{err}");
     }
 
     #[test]

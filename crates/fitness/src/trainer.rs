@@ -127,12 +127,35 @@ impl TrainedFitnessModel {
     ///
     /// # Errors
     ///
-    /// Returns an error if the file cannot be read or parsed.
+    /// Returns an error if the file cannot be read or parsed, or if the
+    /// network's embedding tables disagree with its encoding
+    /// ([`FitnessNet::check_vocab`]) — a corrupt or hand-edited checkpoint.
     pub fn load_json<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json).map_err(std::io::Error::other)
+        let model: Self = serde_json::from_str(&json).map_err(std::io::Error::other)?;
+        model.check_vocab()?;
+        Ok(model)
+    }
+
+    /// [`FitnessNet::check_vocab`] as an [`std::io::ErrorKind::InvalidData`]
+    /// error, for loaders that reject inconsistent checkpoints.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the model kind and the mismatched table.
+    pub fn check_vocab(&self) -> std::io::Result<()> {
+        self.net.check_vocab().map_err(|err| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("{} model: {err}", self.kind),
+            )
+        })
     }
 }
+
+/// The message of the trainer's `expect`s: the net is built from the very
+/// encoding its samples are encoded with, so every token is in range.
+const IN_RANGE: &str = "samples encoded with the net's own EncodingConfig are in range";
 
 fn loss_and_grad(
     kind: FitnessModelKind,
@@ -147,13 +170,41 @@ fn loss_and_grad(
     }
 }
 
+/// Encodes the samples at `chunk` as the net consumes them: the memoized
+/// spec encoding plus the candidate's traces (none for the FP head).
+fn encode_chunk(
+    kind: FitnessModelKind,
+    samples: &[FitnessSample],
+    chunk: &[usize],
+    encoding: &EncodingConfig,
+    spec_encodings: &SpecEncodingMap,
+) -> Vec<(SpecEncoding, CandidateEncoding)> {
+    chunk
+        .iter()
+        .map(|&idx| {
+            let sample = &samples[idx];
+            let candidate = match kind {
+                FitnessModelKind::FunctionProbability => CandidateEncoding::spec_only(),
+                _ => encode_candidate(encoding, &sample.spec, &sample.candidate),
+            };
+            (
+                spec_encodings.get_or_encode(encoding, &sample.spec),
+                candidate,
+            )
+        })
+        .collect()
+}
+
+fn as_pairs(
+    encodings: &[(SpecEncoding, CandidateEncoding)],
+) -> Vec<(&SpecEncoding, &CandidateEncoding)> {
+    encodings.iter().map(|(s, c)| (s, c)).collect()
+}
+
 /// Runs one minibatch's forward / loss / backward, returning its summed loss.
 ///
 /// With `batched` set the whole chunk goes through the batched SIMD kernels;
-/// if the batched forward fails (any bad token fails the whole batch) the
-/// chunk falls back to the per-sample loop below, which skips exactly the
-/// offending samples — the reference path's contract. With `batched` unset
-/// this *is* the reference path.
+/// with it unset this is the per-sample reference loop.
 fn train_minibatch(
     kind: FitnessModelKind,
     net: &mut FitnessNet,
@@ -162,31 +213,61 @@ fn train_minibatch(
     encodings: &[(SpecEncoding, CandidateEncoding)],
     batched: bool,
 ) -> f64 {
-    if batched {
-        let pairs: Vec<(&SpecEncoding, &CandidateEncoding)> =
-            encodings.iter().map(|(s, c)| (s, c)).collect();
-        if let Ok((logits, cache)) = net.forward_batch_train(&pairs) {
-            let mut total = 0.0f64;
-            let mut grads = Vec::with_capacity(chunk.len());
-            for (&idx, logit_row) in chunk.iter().zip(logits.iter()) {
-                let (loss, grad) = loss_and_grad(kind, logit_row, &samples[idx]);
-                total += f64::from(loss);
-                grads.push(grad);
-            }
-            net.backward_batch(&cache, &grads);
-            return total;
-        }
-    }
     let mut total = 0.0f64;
+    if batched {
+        let (logits, cache) = net
+            .forward_batch_train(&as_pairs(encodings))
+            .expect(IN_RANGE);
+        let mut grads = Vec::with_capacity(chunk.len());
+        for (&idx, logit_row) in chunk.iter().zip(logits.iter()) {
+            let (loss, grad) = loss_and_grad(kind, logit_row, &samples[idx]);
+            total += f64::from(loss);
+            grads.push(grad);
+        }
+        net.backward_batch(&cache, &grads);
+        return total;
+    }
     for (&idx, (spec_encoding, candidate_encoding)) in chunk.iter().zip(encodings.iter()) {
-        let Ok((logits, cache)) = net.forward(spec_encoding, candidate_encoding) else {
-            continue;
-        };
+        let (logits, cache) = net
+            .forward(spec_encoding, candidate_encoding)
+            .expect(IN_RANGE);
         let (loss, grad) = loss_and_grad(kind, &logits, &samples[idx]);
         total += f64::from(loss);
         net.backward(&cache, &grad);
     }
     total
+}
+
+/// The logits of the samples at `indices`, in order. `batch: Some(n)` runs
+/// chunks of `n` through [`FitnessNet::forward_batch_train`] — the kernels
+/// and peak memory of a training minibatch, with the gradient cache
+/// dropped; `None` runs the per-sample [`FitnessNet::predict`] oracle.
+fn sample_logits(
+    kind: FitnessModelKind,
+    net: &FitnessNet,
+    samples: &[FitnessSample],
+    indices: &[usize],
+    encoding: &EncodingConfig,
+    spec_encodings: &SpecEncodingMap,
+    batch: Option<usize>,
+) -> Vec<Vec<f32>> {
+    let mut logits = Vec::with_capacity(indices.len());
+    for chunk in indices.chunks(batch.unwrap_or(1)) {
+        let encodings = encode_chunk(kind, samples, chunk, encoding, spec_encodings);
+        if batch.is_some() {
+            let (rows, _cache) = net
+                .forward_batch_train(&as_pairs(&encodings))
+                .expect(IN_RANGE);
+            logits.extend(rows);
+        } else {
+            logits.extend(
+                encodings
+                    .iter()
+                    .map(|(spec, candidate)| net.predict(spec, candidate).expect(IN_RANGE)),
+            );
+        }
+    }
+    logits
 }
 
 fn classification_label(kind: FitnessModelKind, sample: &FitnessSample) -> usize {
@@ -207,10 +288,8 @@ fn classification_label(kind: FitnessModelKind, sample: &FitnessSample) -> usize
 /// ([`FitnessNet::forward_batch_train`] / [`FitnessNet::backward_batch`]),
 /// which are bit-identical to the per-sample path — the returned model is
 /// byte-for-byte the one [`train_fitness_model_reference`] produces from the
-/// same inputs and seed. A minibatch whose batched forward fails (an
-/// out-of-vocabulary token anywhere in the batch) falls back to the
-/// per-sample loop so that only the offending samples are skipped, exactly
-/// as the reference path skips them.
+/// same inputs and seed. The per-epoch validation passes run the same
+/// kernels in minibatches of `config.batch_size`.
 pub fn train_fitness_model<R: Rng + ?Sized>(
     kind: FitnessModelKind,
     samples: &[FitnessSample],
@@ -222,10 +301,11 @@ pub fn train_fitness_model<R: Rng + ?Sized>(
 }
 
 /// The scalar per-sample training loop [`train_fitness_model`] is certified
-/// against: forward, loss and backward run one sample at a time in minibatch
-/// order. Kept public as the equivalence baseline (the batched trainer must
-/// produce a byte-identical model); prefer [`train_fitness_model`], which is
-/// the same trajectory on the batched kernels.
+/// against: forward, loss and backward (and validation) run one sample at a
+/// time in minibatch order on the per-sample [`FitnessNet`] oracle. Kept
+/// public as the equivalence baseline (the batched trainer must produce a
+/// byte-identical model); prefer [`train_fitness_model`], which is the same
+/// trajectory on the batched kernels.
 pub fn train_fitness_model_reference<R: Rng + ?Sized>(
     kind: FitnessModelKind,
     samples: &[FitnessSample],
@@ -266,60 +346,51 @@ fn train_fitness_model_impl<R: Rng + ?Sized>(
     // not once per sample per epoch. Encoding is deterministic, so the
     // training trajectory is unchanged.
     let spec_encodings = SpecEncodingMap::new();
+    let batch_size = config.batch_size.max(1);
+    let validation_logits = |net: &FitnessNet| {
+        let batch = batched.then_some(batch_size);
+        let encoding = &config.encoding;
+        sample_logits(
+            kind,
+            net,
+            samples,
+            validation_idx,
+            encoding,
+            &spec_encodings,
+            batch,
+        )
+    };
+    // The last epoch's validation logits come from the final net, so the
+    // confusion matrix reuses them.
+    let mut final_logits = None;
     for epoch in 1..=config.epochs {
         order.shuffle(rng);
         let mut total_loss = 0.0;
-        let mut batch_count = 0usize;
-        for chunk in order.chunks(config.batch_size.max(1)) {
-            let mut encodings = Vec::with_capacity(chunk.len());
-            for &idx in chunk {
-                let sample = &samples[idx];
-                let spec_encoding = spec_encodings.get_or_encode(&config.encoding, &sample.spec);
-                let candidate_encoding = match kind {
-                    FitnessModelKind::FunctionProbability => CandidateEncoding::spec_only(),
-                    _ => encode_candidate(&config.encoding, &sample.spec, &sample.candidate),
-                };
-                encodings.push((spec_encoding, candidate_encoding));
-            }
+        for chunk in order.chunks(batch_size) {
+            let encodings = encode_chunk(kind, samples, chunk, &config.encoding, &spec_encodings);
             total_loss += train_minibatch(kind, &mut net, samples, chunk, &encodings, batched);
             net.clip_grad_norm(config.grad_clip);
             optimizer.step(&mut net.params_mut());
             net.zero_grad();
-            batch_count += 1;
         }
         let train_loss = if order.is_empty() {
             0.0
         } else {
             total_loss / order.len() as f64
         };
-        let validation_accuracy = evaluate_accuracy(
-            kind,
-            &net,
-            samples,
-            validation_idx,
-            &config.encoding,
-            &spec_encodings,
-        );
+        let logits = validation_logits(&net);
         epochs.push(EpochStats {
             epoch,
             train_loss,
-            validation_accuracy,
+            validation_accuracy: accuracy(kind, samples, validation_idx, &logits),
         });
-        let _ = batch_count;
+        final_logits = Some(logits);
     }
 
-    let confusion = match kind {
-        FitnessModelKind::FunctionProbability => None,
-        _ => Some(confusion_matrix(
-            kind,
-            &net,
-            samples,
-            validation_idx,
-            &config.encoding,
-            program_length,
-            &spec_encodings,
-        )),
-    };
+    let confusion = (kind != FitnessModelKind::FunctionProbability).then(|| {
+        let logits = final_logits.unwrap_or_else(|| validation_logits(&net));
+        confusion_matrix(kind, samples, validation_idx, &logits, program_length)
+    });
 
     TrainedFitnessModel {
         kind,
@@ -329,79 +400,61 @@ fn train_fitness_model_impl<R: Rng + ?Sized>(
     }
 }
 
-fn evaluate_accuracy(
+/// Validation accuracy of `logits`, the rows of the samples at `indices`:
+/// classification accuracy for CF/LCS, thresholded multi-label accuracy for
+/// FP.
+fn accuracy(
     kind: FitnessModelKind,
-    net: &FitnessNet,
     samples: &[FitnessSample],
     indices: &[usize],
-    encoding: &EncodingConfig,
-    spec_encodings: &SpecEncodingMap,
+    logits: &[Vec<f32>],
 ) -> f64 {
     if indices.is_empty() {
         return 0.0;
     }
     let mut total = 0.0;
-    let mut counted = 0usize;
-    for &idx in indices {
+    for (&idx, row) in indices.iter().zip(logits) {
         let sample = &samples[idx];
-        let spec_encoding = spec_encodings.get_or_encode(encoding, &sample.spec);
-        match kind {
+        total += match kind {
             FitnessModelKind::FunctionProbability => {
-                if let Ok(logits) = net.predict_spec(&spec_encoding) {
-                    let probs: Vec<f32> = logits
-                        .iter()
-                        .map(|&z| netsyn_nn::activation::sigmoid(z))
-                        .collect();
-                    total += thresholded_accuracy(&probs, &sample.fp_target, 0.5);
-                    counted += 1;
-                }
+                let probs: Vec<f32> = row
+                    .iter()
+                    .map(|&z| netsyn_nn::activation::sigmoid(z))
+                    .collect();
+                thresholded_accuracy(&probs, &sample.fp_target, 0.5)
             }
-            _ => {
-                let encoded = encode_candidate(encoding, &sample.spec, &sample.candidate);
-                if let Ok(logits) = net.predict(&spec_encoding, &encoded) {
-                    let predicted = argmax(&logits);
-                    let actual = classification_label(kind, sample);
-                    total += f64::from(u8::from(predicted == actual));
-                    counted += 1;
-                }
-            }
-        }
+            _ => f64::from(u8::from(argmax(row) == classification_label(kind, sample))),
+        };
     }
-    if counted == 0 {
-        0.0
-    } else {
-        total / counted as f64
-    }
+    total / indices.len() as f64
 }
 
-/// Builds the validation confusion matrix of a trained CF/LCS model
-/// (Figure 7(a)/(b)).
-#[allow(clippy::too_many_arguments)]
+/// Builds the confusion matrix of a CF/LCS model from `logits`, the rows of
+/// the samples at `indices` (Figure 7(a)/(b)).
 fn confusion_matrix(
     kind: FitnessModelKind,
-    net: &FitnessNet,
     samples: &[FitnessSample],
     indices: &[usize],
-    encoding: &EncodingConfig,
+    logits: &[Vec<f32>],
     program_length: usize,
-    spec_encodings: &SpecEncodingMap,
 ) -> ConfusionMatrix {
     let mut matrix = ConfusionMatrix::new(program_length + 1);
-    for &idx in indices {
-        let sample = &samples[idx];
-        let spec_encoding = spec_encodings.get_or_encode(encoding, &sample.spec);
-        let encoded = encode_candidate(encoding, &sample.spec, &sample.candidate);
-        if let Ok(logits) = net.predict(&spec_encoding, &encoded) {
-            let predicted = argmax(&logits).min(program_length);
-            let actual = classification_label(kind, sample).min(program_length);
-            matrix.record(actual, predicted);
-        }
+    for (&idx, row) in indices.iter().zip(logits) {
+        let predicted = argmax(row).min(program_length);
+        let actual = classification_label(kind, &samples[idx]).min(program_length);
+        matrix.record(actual, predicted);
     }
     matrix
 }
 
 /// Evaluates a trained CF/LCS model on an arbitrary set of samples, returning
-/// its confusion matrix.
+/// its confusion matrix. The samples run through the batched kernels in
+/// minibatches of [`TrainerConfig::small`]'s size.
+///
+/// # Panics
+///
+/// Panics if `encoding` produces a token outside the model's vocabularies
+/// (pass the encoding the model was trained with).
 #[must_use]
 pub fn evaluate_confusion(
     model: &TrainedFitnessModel,
@@ -409,15 +462,16 @@ pub fn evaluate_confusion(
     encoding: &EncodingConfig,
 ) -> ConfusionMatrix {
     let indices: Vec<usize> = (0..samples.len()).collect();
-    confusion_matrix(
+    let logits = sample_logits(
         model.kind,
         &model.net,
         samples,
         &indices,
         encoding,
-        model.program_length,
         &SpecEncodingMap::new(),
-    )
+        Some(TrainerConfig::small().batch_size),
+    );
+    confusion_matrix(model.kind, samples, &indices, &logits, model.program_length)
 }
 
 #[cfg(test)]
@@ -644,6 +698,39 @@ mod tests {
         model.save_json(&path).unwrap();
         let loaded = TrainedFitnessModel::load_json(&path).unwrap();
         assert_eq!(loaded, model);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_json_rejects_tables_that_disagree_with_the_encoding() {
+        // A checkpoint whose net was built for the list domain (41 function
+        // tokens) but whose encoding says string domain (18): every batched
+        // pass over it would fail, so loading does.
+        let mut r = rng(6);
+        let samples = generate_fp_dataset(&tiny_dataset_config(3), &mut r).unwrap();
+        let mut config = tiny_trainer_config();
+        config.epochs = 1;
+        let model = train_fitness_model(
+            FitnessModelKind::FunctionProbability,
+            &samples,
+            3,
+            &config,
+            &mut r,
+        );
+        let json = serde_json::to_string(&model).unwrap();
+        let relabeled = json.replace(r#""domain":"List""#, r#""domain":"Str""#);
+        assert_ne!(json, relabeled);
+        let dir = std::env::temp_dir().join("netsyn_fitness_relabeled_model_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fp_model.json");
+        std::fs::write(&path, relabeled).unwrap();
+        let err = TrainedFitnessModel::load_json(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("FP model: could not deserialize model: the function embedding table has 41 rows but the encoding has 18 tokens"),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

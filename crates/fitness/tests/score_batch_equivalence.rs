@@ -4,16 +4,22 @@
 //! the per-candidate `score` path returns — bit-identical `f64`s, not just
 //! approximately equal. The GA engine relies on this: batching is a pure
 //! performance optimization and must never change search behavior.
+//!
+//! The learned functions ship only the batched network pass (their `score`
+//! is a batch of one), so they are also pinned against the per-sample
+//! `FitnessNet::{predict, predict_spec}` reference oracle.
 
 use netsyn_dsl::{Generator, GeneratorConfig, IoSpec, Program};
 use netsyn_fitness::dataset::{
     generate_dataset, generate_fp_dataset, BalanceMetric, DatasetConfig,
 };
+use netsyn_fitness::encoding::{encode_candidate, encode_spec};
 use netsyn_fitness::trainer::{train_fitness_model, FitnessModelKind, TrainerConfig};
 use netsyn_fitness::{
     ClosenessMetric, EditDistanceFitness, FitnessFunction, FitnessNetConfig, LearnedFitness,
-    LearnedProbabilityModel, OracleFitness, ProbabilityFitness,
+    LearnedProbabilityModel, OracleFitness, ProbabilityFitness, TrainedFitnessModel,
 };
+use netsyn_nn::activation::{sigmoid, softmax};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -85,69 +91,137 @@ fn assert_batch_matches_single<F: FitnessFunction + ?Sized>(
     }
 }
 
-#[test]
-fn learned_cf_score_batch_is_bit_identical() {
-    let mut r = rng(100);
-    let samples = generate_dataset(
-        &tiny_dataset_config(),
-        BalanceMetric::CommonFunctions,
-        &mut r,
-    )
+/// Asserts `fitness.score_batch` equals the expected class value of the
+/// per-sample `FitnessNet::predict` logits, for every candidate.
+fn assert_batch_matches_oracle(fitness: &LearnedFitness, spec: &IoSpec, candidates: &[Program]) {
+    let net = &fitness.model().net;
+    let spec_encoding = encode_spec(net.encoding(), spec);
+    let batched = fitness.score_batch(candidates, spec);
+    for (candidate, &batch_score) in candidates.iter().zip(batched.iter()) {
+        let logits = net
+            .predict(
+                &spec_encoding,
+                &encode_candidate(net.encoding(), spec, candidate),
+            )
+            .unwrap();
+        let oracle: f64 = softmax(&logits)
+            .iter()
+            .enumerate()
+            .map(|(class, &p)| class as f64 * f64::from(p))
+            .sum();
+        assert_eq!(
+            batch_score.to_bits(),
+            oracle.to_bits(),
+            "batched {batch_score} != per-sample oracle {oracle} for {candidate}"
+        );
+    }
+}
+
+fn trained_model(kind: FitnessModelKind, seed: u64) -> TrainedFitnessModel {
+    let mut r = rng(seed);
+    let samples = match kind {
+        FitnessModelKind::FunctionProbability => {
+            generate_fp_dataset(&tiny_dataset_config(), &mut r)
+        }
+        FitnessModelKind::CommonFunctions => generate_dataset(
+            &tiny_dataset_config(),
+            BalanceMetric::CommonFunctions,
+            &mut r,
+        ),
+        FitnessModelKind::LongestCommonSubsequence => generate_dataset(
+            &tiny_dataset_config(),
+            BalanceMetric::LongestCommonSubsequence,
+            &mut r,
+        ),
+    }
     .expect("dataset generation succeeds");
-    let model = train_fitness_model(
-        FitnessModelKind::CommonFunctions,
+    train_fitness_model(
+        kind,
         &samples,
         PROGRAM_LENGTH,
         &tiny_trainer_config(),
         &mut r,
-    );
+    )
+}
+
+#[test]
+fn learned_cf_score_batch_is_bit_identical() {
+    let model = trained_model(FitnessModelKind::CommonFunctions, 100);
     let fitness = LearnedFitness::new(model);
     for case in 0..CASES {
         let (spec, candidates) = random_scenario(1000 + case as u64);
         assert_batch_matches_single(&fitness, &spec, &candidates);
+        assert_batch_matches_oracle(&fitness, &spec, &candidates);
     }
 }
 
 #[test]
 fn learned_lcs_score_batch_is_bit_identical() {
-    let mut r = rng(200);
-    let samples = generate_dataset(
-        &tiny_dataset_config(),
-        BalanceMetric::LongestCommonSubsequence,
-        &mut r,
-    )
-    .expect("dataset generation succeeds");
-    let model = train_fitness_model(
-        FitnessModelKind::LongestCommonSubsequence,
-        &samples,
-        PROGRAM_LENGTH,
-        &tiny_trainer_config(),
-        &mut r,
-    );
+    let model = trained_model(FitnessModelKind::LongestCommonSubsequence, 200);
     let fitness = LearnedFitness::new(model);
     for case in 0..CASES {
         let (spec, candidates) = random_scenario(2000 + case as u64);
         assert_batch_matches_single(&fitness, &spec, &candidates);
+        assert_batch_matches_oracle(&fitness, &spec, &candidates);
     }
 }
 
 #[test]
 fn fp_score_batch_is_bit_identical() {
-    let mut r = rng(300);
-    let samples =
-        generate_fp_dataset(&tiny_dataset_config(), &mut r).expect("dataset generation succeeds");
-    let model = train_fitness_model(
-        FitnessModelKind::FunctionProbability,
-        &samples,
-        PROGRAM_LENGTH,
-        &tiny_trainer_config(),
-        &mut r,
-    );
+    let model = trained_model(FitnessModelKind::FunctionProbability, 300);
     let prob_model = LearnedProbabilityModel::new(model);
     for case in 0..CASES {
         let (spec, candidates) = random_scenario(3000 + case as u64);
         let fitness = ProbabilityFitness::new(prob_model.probability_map(&spec), PROGRAM_LENGTH);
         assert_batch_matches_single(&fitness, &spec, &candidates);
+    }
+}
+
+/// `LearnedProbabilityModel::probability_map` (a batched pass over one
+/// spec-only candidate) reproduces the sigmoid of the per-sample
+/// `FitnessNet::predict_spec` oracle bitwise.
+#[test]
+fn probability_map_matches_the_per_sample_oracle() {
+    let prob_model =
+        LearnedProbabilityModel::new(trained_model(FitnessModelKind::FunctionProbability, 310));
+    let net = &prob_model.model().net;
+    for case in 0..CASES {
+        let (spec, _) = random_scenario(3100 + case as u64);
+        let logits = net
+            .predict_spec(&encode_spec(net.encoding(), &spec))
+            .unwrap();
+        let map = prob_model.probability_map(&spec);
+        assert_eq!(map.as_slice().len(), logits.len());
+        for (&p, &z) in map.as_slice().iter().zip(logits.iter()) {
+            assert_eq!(p.to_bits(), f64::from(sigmoid(z)).to_bits());
+        }
+    }
+}
+
+/// `LearnedFitness::score` is a batch of one: bit-identical to the
+/// candidate's row of a full `score_batch`, on a fresh instance (cold trace
+/// memo) and after the memo has seen the whole batch.
+#[test]
+fn learned_score_is_a_batch_of_one() {
+    for (kind, seed) in [
+        (FitnessModelKind::CommonFunctions, 110),
+        (FitnessModelKind::LongestCommonSubsequence, 210),
+    ] {
+        let model = trained_model(kind, seed);
+        let (spec, candidates) = random_scenario(seed + 1);
+        let cold: Vec<f64> = candidates
+            .iter()
+            .map(|candidate| LearnedFitness::new(model.clone()).score(candidate, &spec))
+            .collect();
+        let fitness = LearnedFitness::new(model);
+        let batched = fitness.score_batch(&candidates, &spec);
+        for ((candidate, &batch_score), &cold_score) in
+            candidates.iter().zip(batched.iter()).zip(cold.iter())
+        {
+            let warm_score = fitness.score(candidate, &spec);
+            assert_eq!(batch_score.to_bits(), cold_score.to_bits(), "{candidate}");
+            assert_eq!(batch_score.to_bits(), warm_score.to_bits(), "{candidate}");
+        }
     }
 }
 
@@ -175,27 +249,15 @@ fn default_impl_fitness_functions_also_match() {
 
 /// The split encoding API itself upholds the contract: one shared
 /// [`SpecEncoding`] plus per-candidate [`CandidateEncoding`]s pushed through
-/// `predict_batch` must reproduce per-candidate `predict` calls bitwise, for
-/// a trained model and across repeated/empty/trace-less candidates.
+/// `predict_batch_with` must reproduce per-candidate `predict` calls
+/// bitwise, for a trained model and across repeated/empty/trace-less
+/// candidates.
 #[test]
 fn split_encoding_predict_batch_is_bit_identical() {
-    use netsyn_fitness::encoding::{encode_candidate, encode_candidates, encode_spec};
+    use netsyn_fitness::encoding::{encode_candidates, TraceEncodingCache};
     use netsyn_fitness::CandidateEncoding;
 
-    let mut r = rng(700);
-    let samples = generate_dataset(
-        &tiny_dataset_config(),
-        BalanceMetric::CommonFunctions,
-        &mut r,
-    )
-    .expect("dataset generation succeeds");
-    let model = train_fitness_model(
-        FitnessModelKind::CommonFunctions,
-        &samples,
-        PROGRAM_LENGTH,
-        &tiny_trainer_config(),
-        &mut r,
-    );
+    let model = trained_model(FitnessModelKind::CommonFunctions, 700);
     let net = &model.net;
     let (spec, candidates) = random_scenario(7000);
     let spec_encoding = encode_spec(net.encoding(), &spec);
@@ -209,7 +271,9 @@ fn split_encoding_predict_batch_is_bit_identical() {
     }
     // ...and a trace-less (FP-style) entry may ride along in the same batch.
     encodings.push(CandidateEncoding::spec_only());
-    let batched = net.predict_batch(&spec_encoding, &encodings).unwrap();
+    let batched = net
+        .predict_batch_with(&spec_encoding, &encodings, &TraceEncodingCache::new())
+        .unwrap();
     assert_eq!(batched.len(), encodings.len());
     for (encoding, batch_logits) in encodings.iter().zip(batched.iter()) {
         let single = net.predict(&spec_encoding, encoding).unwrap();
@@ -228,20 +292,7 @@ fn split_encoding_predict_batch_is_bit_identical() {
 /// time) still returns bit-identical batch and single scores for both.
 #[test]
 fn spec_cache_eviction_preserves_bit_identity() {
-    let mut r = rng(800);
-    let samples = generate_dataset(
-        &tiny_dataset_config(),
-        BalanceMetric::CommonFunctions,
-        &mut r,
-    )
-    .expect("dataset generation succeeds");
-    let model = train_fitness_model(
-        FitnessModelKind::CommonFunctions,
-        &samples,
-        PROGRAM_LENGTH,
-        &tiny_trainer_config(),
-        &mut r,
-    );
+    let model = trained_model(FitnessModelKind::CommonFunctions, 800);
     let fitness = LearnedFitness::new(model);
     let (spec_a, candidates_a) = random_scenario(8001);
     let (spec_b, candidates_b) = random_scenario(8002);

@@ -114,7 +114,9 @@ impl Population {
     /// `fitness_or_zero`-based sort placed unevaluated genes above any
     /// evaluated gene with negative fitness, which let never-scored
     /// candidates shoulder real ones out of elite/neighborhood selection
-    /// under regression/two-tier models (their scores can go negative).
+    /// whenever scores went negative. `FitnessFunction` documents
+    /// non-negative scores, but nothing enforces that, so the ranking does
+    /// not rely on it.
     /// Ties keep input order (the sort is stable).
     #[must_use]
     pub fn top_indices(&self, n: usize) -> Vec<usize> {
@@ -214,7 +216,7 @@ mod tests {
 
     #[test]
     fn top_indices_ranks_unevaluated_strictly_last() {
-        // Regression/two-tier fitness models can score below zero; an
+        // Nothing stops a fitness function from scoring below zero; an
         // unevaluated gene must never outrank an evaluated one.
         let population = Population::new(vec![
             gene_with_fitness(Function::Sort, -1.5),

@@ -1,5 +1,5 @@
-//! Scalar activation functions and their derivatives, plus row-batched
-//! variants used by the batched inference path.
+//! Scalar activation functions and their derivatives, plus the
+//! [`Activation`] enum whose row sweeps the batched MLP layers use.
 
 use crate::simd;
 use crate::tensor::Matrix;
@@ -55,42 +55,6 @@ pub fn softmax(xs: &[f32]) -> Vec<f32> {
     let exps: Vec<f32> = xs.iter().map(|&x| (x - max).exp()).collect();
     let sum: f32 = exps.iter().sum();
     exps.into_iter().map(|e| e / sum).collect()
-}
-
-/// Row-wise softmax over a batch of logits (one distribution per row).
-///
-/// Each row performs exactly the same operations as [`softmax`] — the max
-/// reduction and the exp sum stay sequential scalar reductions, only the
-/// element-wise shift, `exp` and normalization run through the lane
-/// kernels — so batched inference is bit-identical to the per-sample path.
-#[must_use]
-pub fn softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        if row.is_empty() {
-            continue;
-        }
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        for x in row.iter_mut() {
-            *x -= max;
-        }
-        simd::vexp_slice(row);
-        let sum: f32 = row.iter().sum();
-        for x in row.iter_mut() {
-            *x /= sum;
-        }
-    }
-    out
-}
-
-/// Element-wise sigmoid over a batch of logits, lane-vectorized and
-/// bit-identical to [`sigmoid`] per element.
-#[must_use]
-pub fn sigmoid_rows(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    simd::vsigmoid_slice(out.data_mut());
-    out
 }
 
 /// Element-wise activation used between MLP layers.
@@ -201,27 +165,6 @@ mod tests {
         }
         let xs = [-1.0, 0.0, 1.0];
         assert_eq!(Activation::Relu.apply_slice(&xs), vec![0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn batched_softmax_and_sigmoid_match_single_rows() {
-        let logits = Matrix::from_vec(
-            3,
-            4,
-            vec![
-                1.0, 2.0, 3.0, 4.0, -1.0, 0.0, 1.0, 1000.0, 0.5, 0.5, 0.5, 0.5,
-            ],
-        );
-        let soft = softmax_rows(&logits);
-        let sig = sigmoid_rows(&logits);
-        for r in 0..logits.rows() {
-            let expected_soft = softmax(logits.row(r));
-            let expected_sig: Vec<f32> = logits.row(r).iter().map(|&x| sigmoid(x)).collect();
-            for c in 0..logits.cols() {
-                assert_eq!(soft.get(r, c).to_bits(), expected_soft[c].to_bits());
-                assert_eq!(sig.get(r, c).to_bits(), expected_sig[c].to_bits());
-            }
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`Linear`], [`Embedding`], [`Lstm`], [`Mlp`], [`SequenceEncoder`] —
 //!   layers with hand-derived backward passes (verified by numerical gradient
 //!   checks in the test-suite);
-//! * [`loss`] — softmax cross-entropy, binary cross-entropy and MSE;
+//! * [`loss`] — softmax cross-entropy and binary cross-entropy;
 //! * [`Sgd`] / [`Adam`] — optimizers over [`Param`] collections;
 //! * [`ConfusionMatrix`] and accuracy metrics for Figure 7 of the paper.
 //!
@@ -36,18 +36,15 @@
 //! * [`TimeMajorBatch`] — a length-sorted, *time-major* repacking of a
 //!   [`SequenceBatch`]: all rows of time step `t` are one contiguous slab,
 //!   and because sequences are ordered longest-first the still-active batch
-//!   is always a contiguous prefix of it. [`Lstm::forward_batch_flat`] (and
-//!   the nested-`Vec` convenience wrapper [`Lstm::forward_batch`]) feed
-//!   each step's slab straight into the blocked matmul — every time step
-//!   computes all four gates for the active prefix with two gather-free
-//!   matrix products;
+//!   is always a contiguous prefix of it. [`Lstm::forward_batch_time_major`]
+//!   feeds each step's slab straight into the blocked matmul — every time
+//!   step computes all four gates for the active prefix with two
+//!   gather-free matrix products;
 //! * [`SequenceTrie`] and [`Lstm::forward_batch_trie`] — prefix-sharing
 //!   batched inference: an LSTM state depends only on the consumed prefix,
 //!   so sequences sharing a prefix (interned trace values in a GA
 //!   population share ~30% of their steps) compute it exactly once.
 //!   [`SequenceEncoder::forward_batch`] builds such a trie keyed by token;
-//! * [`activation::softmax_rows`] / [`activation::sigmoid_rows`] — row-wise
-//!   batched readouts;
 //! * [`hash::FxHasher`] — the fast interning hasher behind the trie edge
 //!   and token-sequence maps;
 //! * [`simd`] — the 8-lane kernels under all of the above: a column-lane

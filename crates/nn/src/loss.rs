@@ -48,28 +48,6 @@ pub fn binary_cross_entropy_with_logits(logits: &[f32], targets: &[f32]) -> (f32
     (loss / n, grad)
 }
 
-/// Mean squared error between a prediction vector and a target vector.
-///
-/// Returns `(loss, dloss/dpred)`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-#[must_use]
-pub fn mean_squared_error(pred: &[f32], target: &[f32]) -> (f32, Vec<f32>) {
-    assert!(!pred.is_empty(), "prediction must be non-empty");
-    assert_eq!(pred.len(), target.len(), "pred/target length mismatch");
-    let n = pred.len() as f32;
-    let mut loss = 0.0;
-    let mut grad = Vec::with_capacity(pred.len());
-    for (&p, &t) in pred.iter().zip(target.iter()) {
-        let d = p - t;
-        loss += d * d;
-        grad.push(2.0 * d / n);
-    }
-    (loss / n, grad)
-}
-
 /// Index of the maximum value (argmax). Ties resolve to the first maximum.
 ///
 /// # Panics
@@ -141,18 +119,6 @@ mod tests {
         assert!(loss.is_finite());
         assert!(loss < 1e-3);
         assert!(grad.iter().all(|g| g.is_finite()));
-    }
-
-    #[test]
-    fn mse_matches_numerical_gradient() {
-        let pred = vec![1.0, -2.0, 0.5];
-        let target = vec![0.5, -1.0, 0.5];
-        let (loss, grad) = mean_squared_error(&pred, &target);
-        assert!((loss - ((0.25 + 1.0 + 0.0) / 3.0)).abs() < 1e-6);
-        let num = numerical_grad(|x| mean_squared_error(x, &target).0, &pred);
-        for (a, n) in grad.iter().zip(num.iter()) {
-            assert!((a - n).abs() < 1e-2);
-        }
     }
 
     #[test]

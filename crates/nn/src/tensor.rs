@@ -780,43 +780,12 @@ pub mod vecops {
         }
     }
 
-    /// Element-wise sum of two slices.
-    #[must_use]
-    pub fn add(a: &[f32], b: &[f32]) -> Vec<f32> {
-        debug_assert_eq!(a.len(), b.len());
-        a.iter().zip(b.iter()).map(|(&x, &y)| x + y).collect()
-    }
-
-    /// Element-wise product of two slices.
-    #[must_use]
-    pub fn hadamard(a: &[f32], b: &[f32]) -> Vec<f32> {
-        debug_assert_eq!(a.len(), b.len());
-        a.iter().zip(b.iter()).map(|(&x, &y)| x * y).collect()
-    }
-
     /// In-place `a += b`.
     pub fn add_assign(a: &mut [f32], b: &[f32]) {
         debug_assert_eq!(a.len(), b.len());
         for (x, &y) in a.iter_mut().zip(b.iter()) {
             *x += y;
         }
-    }
-
-    /// Concatenates slices into a single vector.
-    #[must_use]
-    pub fn concat(parts: &[&[f32]]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-        for p in parts {
-            out.extend_from_slice(p);
-        }
-        out
-    }
-
-    /// Dot product.
-    #[must_use]
-    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
     }
 }
 
@@ -1036,13 +1005,11 @@ mod tests {
     #[test]
     fn vecops_helpers() {
         use vecops::*;
-        assert_eq!(add(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
-        assert_eq!(hadamard(&[1.0, 2.0], &[3.0, 4.0]), vec![3.0, 8.0]);
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         let mut a = vec![1.0, 1.0];
         add_assign(&mut a, &[2.0, 3.0]);
         assert_eq!(a, vec![3.0, 4.0]);
-        assert_eq!(concat(&[&[1.0][..], &[2.0, 3.0][..]]), vec![1.0, 2.0, 3.0]);
+        axpy(&mut a, 2.0, &[1.0, -1.0]);
+        assert_eq!(a, vec![5.0, 2.0]);
     }
 
     #[test]
