@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the neural-network substrate and the full fitness
-//! network: matrix multiplication, LSTM forward/backward, and the NN-FF
-//! forward pass that dominates NetSyn's per-candidate cost.
+//! network: matrix multiplication, the per-sample LSTM forward/backward of
+//! `netsyn-oracle`, and the NN-FF forward pass that dominates NetSyn's
+//! per-candidate cost.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use netsyn_dsl::{Generator, GeneratorConfig, Program};
@@ -12,6 +13,7 @@ use netsyn_fitness::{
     TraceEncodingCache,
 };
 use netsyn_nn::{Lstm, Matrix, Parameterized};
+use netsyn_oracle::LstmOracle;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 

@@ -7,15 +7,14 @@
 //! the kernels under each minibatch: `train_fitness_model` drives whole
 //! chunks through `FitnessNet::forward_batch_train` / `backward_batch`
 //! (time-major gather-free LSTM batching, batched outer-product weight
-//! gradients), while `train_fitness_model_reference` forwards and
-//! backpropagates one sample at a time. The validation split is disabled so
+//! gradients), while `netsyn_oracle::train_fitness_model_reference` forwards
+//! and backpropagates one sample at a time. The validation split is disabled so
 //! the measurement isolates the training sweep itself.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use netsyn_fitness::dataset::{generate_dataset, BalanceMetric, DatasetConfig, FitnessSample};
-use netsyn_fitness::trainer::{
-    train_fitness_model, train_fitness_model_reference, FitnessModelKind, TrainerConfig,
-};
+use netsyn_fitness::trainer::{train_fitness_model, FitnessModelKind, TrainerConfig};
+use netsyn_oracle::train_fitness_model_reference;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 

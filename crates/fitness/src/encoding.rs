@@ -330,8 +330,8 @@ fn encode_candidate_with(
 /// call `score_batch` with it (the GA presents the same `IoSpec` for the
 /// whole run). The counter makes the guarantee testable.
 ///
-/// Cloning produces an *empty* cache, comparison ignores the cache, and
-/// serialization stores nothing: the memo is pure derived state.
+/// Cloning produces an *empty* cache and comparison ignores the cache: the
+/// memo is pure derived state.
 #[derive(Debug, Default)]
 pub struct SpecEncodingCache {
     slot: Mutex<Option<(IoSpec, SpecEncoding)>>,
@@ -383,18 +383,6 @@ impl PartialEq for SpecEncodingCache {
     }
 }
 
-impl Serialize for SpecEncodingCache {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Null
-    }
-}
-
-impl Deserialize for SpecEncodingCache {
-    fn from_content(_content: &serde::Content) -> Result<Self, serde::DeError> {
-        Ok(SpecEncodingCache::default())
-    }
-}
-
 /// A long-lived, shareable memo of trace-*value* encodings: the step
 /// encoder's final hidden state for each distinct trace-value token
 /// sequence.
@@ -414,7 +402,7 @@ impl Deserialize for SpecEncodingCache {
 /// shards by `FitnessFunction::cache_key` for exactly this reason, and a
 /// trainer updating weights must start a fresh cache). Like
 /// [`SpecEncodingCache`], the memo is pure derived state: `Clone` starts
-/// cold, `PartialEq` ignores it, serialization stores nothing.
+/// cold and `PartialEq` ignores it.
 ///
 /// ## Concurrency
 ///
@@ -558,18 +546,6 @@ impl Clone for TraceEncodingCache {
 impl PartialEq for TraceEncodingCache {
     fn eq(&self, _other: &Self) -> bool {
         true
-    }
-}
-
-impl Serialize for TraceEncodingCache {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Null
-    }
-}
-
-impl Deserialize for TraceEncodingCache {
-    fn from_content(_content: &serde::Content) -> Result<Self, serde::DeError> {
-        Ok(TraceEncodingCache::default())
     }
 }
 
@@ -792,14 +768,11 @@ mod tests {
         let canonical = cache.publish_many(vec![(&tokens[..], racer)]);
         assert!(Arc::ptr_eq(&canonical[0], &hidden));
         assert_eq!(cache.len(), 1);
-        // Clones start cold; equality and serialization ignore the state.
+        // Clones start cold; equality ignores the state.
         let clone = cache.clone();
         assert!(clone.is_empty());
         assert_eq!(clone.encode_count(), 0);
         assert_eq!(clone, cache);
-        let json = serde_json::to_string(&cache).unwrap();
-        let back: TraceEncodingCache = serde_json::from_str(&json).unwrap();
-        assert!(back.is_empty());
     }
 
     /// Poison-recovery regression for the trace cache: encodings are

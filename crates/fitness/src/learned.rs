@@ -21,7 +21,10 @@ use netsyn_nn::activation::{sigmoid, softmax};
 use serde::{Deserialize, Serialize};
 
 /// A fitness function backed by a trained CF or LCS classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Not serializable: persist the [`TrainedFitnessModel`] and rebuild with
+/// [`LearnedFitness::new`], which checks the model's vocabularies.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LearnedFitness {
     model: TrainedFitnessModel,
     name: String,
@@ -33,7 +36,7 @@ pub struct LearnedFitness {
     mutation_map: Option<ProbabilityMap>,
     /// One-slot memo so the specification of a synthesis run is encoded
     /// exactly once across every `score` / `score_batch` call (derived
-    /// state: cleared by `Clone`, ignored by `PartialEq` and serde).
+    /// state: cleared by `Clone`, ignored by `PartialEq`).
     spec_cache: SpecEncodingCache,
     /// Instance-owned trace-value encoding memo: even without an external
     /// [`crate::FitnessCache`] shard, `score_batch` reuses the step-encoder
@@ -158,7 +161,7 @@ impl FitnessFunction for LearnedFitness {
     /// batched forward pass (`FitnessNet::predict_batch_with`, reusing the
     /// trace-value encodings memoized in `traces` across generations and
     /// runs) and each logit row is read out as its expected class value —
-    /// bit-identical to the per-sample `FitnessNet::predict` oracle.
+    /// bit-identical to the per-sample reference pass in `netsyn-oracle`.
     fn score_batch_cached(
         &self,
         candidates: &[Program],
@@ -189,7 +192,10 @@ impl FitnessFunction for LearnedFitness {
 
 /// A trained FP model: predicts a per-function probability map from a
 /// specification (no candidate required).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Not serializable, like [`LearnedFitness`]: persist the
+/// [`TrainedFitnessModel`] and rebuild with [`LearnedProbabilityModel::new`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct LearnedProbabilityModel {
     model: TrainedFitnessModel,
 }

@@ -56,16 +56,17 @@
 //! That batched pass is the network's one shipped inference path:
 //! `LearnedFitness::score` is a batch of one, and
 //! [`LearnedProbabilityModel::probability_map`] a batch of one spec-only
-//! candidate. The per-sample `FitnessNet::{forward, predict, predict_spec,
-//! backward}` remain as the reference oracle for
-//! [`trainer::train_fitness_model_reference`] and the equivalence tests.
-//! Every token a model's own [`EncodingConfig`] produces is in range once
+//! candidate; training runs the batched `forward_batch_train` /
+//! `backward_batch` pair. The per-sample reference passes they are certified
+//! against — and the per-sample reference trainer — live in the dev-only
+//! `netsyn-oracle` crate, which reads the network through its read-only
+//! layer accessors and [`netsyn_nn::Parameterized::params_mut`]. Every token a model's own [`EncodingConfig`] produces is in range once
 //! [`FitnessNet::check_vocab`] passes, which the model loaders and the
 //! learned-fitness constructors check.
 //!
 //! Batching is a pure performance optimization: every override returns
-//! scores **bit-identical** to the per-candidate path (asserted by the
-//! `score_batch_equivalence` integration tests for the CF, LCS and FP
+//! scores **bit-identical** to the per-candidate path (asserted by
+//! `netsyn-oracle`'s `score_batch_equivalence` tests for the CF, LCS and FP
 //! models, against the per-sample oracle too), so GA search trajectories
 //! are unchanged.
 //!
@@ -170,7 +171,7 @@ pub use encoding::{
     SpecEncodingMap, TraceEncodingCache,
 };
 pub use learned::{LearnedFitness, LearnedProbabilityModel, ProbabilityFitness};
-pub use model::{FitnessNet, FitnessNetBatchCache, FitnessNetCache, FitnessNetConfig};
+pub use model::{FitnessNet, FitnessNetBatchCache, FitnessNetConfig};
 pub use oracle::OracleFitness;
 pub use persist::{DurableOptions, FlushStats, LoadReport};
 pub use probability::ProbabilityMap;

@@ -15,9 +15,9 @@
 
 use crate::encoding::{CandidateEncoding, EncodingConfig, SpecEncoding, TraceEncodingCache};
 use netsyn_nn::{
-    Activation, Embedding, FxHashMap, Lstm, LstmBatchCache, LstmCache, Matrix, Mlp, MlpBatchCache,
-    MlpCache, NnError, Param, Parameterized, SequenceBatch, SequenceEncoder,
-    SequenceEncoderBatchCache, SequenceEncoderCache, SequenceTrie, TimeMajorBatch,
+    Activation, Embedding, FxHashMap, Lstm, LstmBatchCache, Matrix, Mlp, MlpBatchCache, NnError,
+    Param, Parameterized, SequenceBatch, SequenceEncoder, SequenceEncoderBatchCache, SequenceTrie,
+    TimeMajorBatch,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -72,30 +72,13 @@ pub struct FitnessNet {
     head: Mlp,
 }
 
-/// Cache of one [`FitnessNet::forward`] pass, required by
-/// [`FitnessNet::backward`].
-#[derive(Debug, Clone)]
-pub struct FitnessNetCache {
-    example_caches: Vec<ExampleCache>,
-    example_lstm_cache: LstmCache,
-    head_cache: MlpCache,
-}
-
-#[derive(Debug, Clone)]
-struct ExampleCache {
-    io_cache: SequenceEncoderCache,
-    step_caches: Vec<SequenceEncoderCache>,
-    step_functions: Vec<usize>,
-    trace_cache: LstmCache,
-}
-
 /// Cache of one [`FitnessNet::forward_batch_train`] pass, required by
 /// [`FitnessNet::backward_batch`].
 ///
 /// Sequences are flattened lexicographically — `(sample, example)` for the
 /// IO encoder, trace LSTM and example rows, `(sample, example, step)` for the
 /// step encoder and function embedding — which is exactly the order the
-/// per-sample reference path visits them, so every batched component can
+/// per-sample reference pass visits them, so every batched component can
 /// replay its parameter accumulation bit-identically.
 #[derive(Debug, Clone)]
 pub struct FitnessNetBatchCache {
@@ -188,6 +171,42 @@ impl FitnessNet {
         self.config.output_dim
     }
 
+    /// The encoder of each example's `input, SEP, output` tokens.
+    #[must_use]
+    pub fn io_encoder(&self) -> &SequenceEncoder {
+        &self.io_encoder
+    }
+
+    /// The encoder of each trace value's tokens.
+    #[must_use]
+    pub fn step_encoder(&self) -> &SequenceEncoder {
+        &self.step_encoder
+    }
+
+    /// The embedding of each trace step's DSL function.
+    #[must_use]
+    pub fn function_embedding(&self) -> &Embedding {
+        &self.function_embedding
+    }
+
+    /// The LSTM over each example's (function ‖ step encoding) steps.
+    #[must_use]
+    pub fn trace_lstm(&self) -> &Lstm {
+        &self.trace_lstm
+    }
+
+    /// The LSTM over a candidate's (io encoding ‖ trace encoding) examples.
+    #[must_use]
+    pub fn example_lstm(&self) -> &Lstm {
+        &self.example_lstm
+    }
+
+    /// The fully connected head over the example LSTM's summary.
+    #[must_use]
+    pub fn head(&self) -> &Mlp {
+        &self.head
+    }
+
     /// A fast fingerprint of every parameter's current bit pattern.
     ///
     /// Fitness functions fold this into their
@@ -245,89 +264,6 @@ impl FitnessNet {
         Ok(())
     }
 
-    /// Per-sample forward pass over one candidate against a specification
-    /// encoding, returning the raw output logits and the cache needed for
-    /// [`FitnessNet::backward`].
-    ///
-    /// This and the other per-sample methods ([`FitnessNet::predict`],
-    /// [`FitnessNet::predict_spec`], [`FitnessNet::backward`]) are the
-    /// reference oracle: [`crate::trainer::train_fitness_model_reference`]
-    /// and the equivalence tests use them to pin the batched kernels
-    /// ([`FitnessNet::predict_batch_with`], [`FitnessNet::forward_batch_train`],
-    /// [`FitnessNet::backward_batch`]), which every shipped caller uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::VocabOutOfRange`] if any token exceeds the
-    /// configured vocabularies (this indicates an encoding/config mismatch).
-    pub fn forward(
-        &self,
-        spec: &SpecEncoding,
-        candidate: &CandidateEncoding,
-    ) -> Result<(Vec<f32>, FitnessNetCache), NnError> {
-        let mut example_vectors = Vec::with_capacity(spec.len());
-        let mut example_caches = Vec::with_capacity(spec.len());
-        for (index, io_tokens) in spec.io_tokens().iter().enumerate() {
-            let steps = candidate.trace(index);
-            let (io_hidden, io_cache) = self.io_encoder.forward(io_tokens)?;
-            let mut step_inputs = Vec::with_capacity(steps.len());
-            let mut step_caches = Vec::with_capacity(steps.len());
-            let mut step_functions = Vec::with_capacity(steps.len());
-            for step in steps {
-                let (step_hidden, step_cache) = self.step_encoder.forward(&step.value_tokens)?;
-                let function_vec = self.function_embedding.lookup(step.function)?;
-                let mut combined = function_vec;
-                combined.extend_from_slice(&step_hidden);
-                step_inputs.push(combined);
-                step_caches.push(step_cache);
-                step_functions.push(step.function);
-            }
-            let (trace_hidden, trace_cache) = self.trace_lstm.forward(&step_inputs);
-            let mut example_vec = io_hidden;
-            example_vec.extend_from_slice(&trace_hidden);
-            example_vectors.push(example_vec);
-            example_caches.push(ExampleCache {
-                io_cache,
-                step_caches,
-                step_functions,
-                trace_cache,
-            });
-        }
-        let (summary, example_lstm_cache) = self.example_lstm.forward(&example_vectors);
-        let (logits, head_cache) = self.head.forward(&summary);
-        Ok((
-            logits,
-            FitnessNetCache {
-                example_caches,
-                example_lstm_cache,
-                head_cache,
-            },
-        ))
-    }
-
-    /// Per-sample forward pass that discards the cache (reference oracle).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FitnessNet::forward`].
-    pub fn predict(
-        &self,
-        spec: &SpecEncoding,
-        candidate: &CandidateEncoding,
-    ) -> Result<Vec<f32>, NnError> {
-        self.forward(spec, candidate).map(|(logits, _)| logits)
-    }
-
-    /// Per-sample forward pass over the specification alone (the FP head's
-    /// input — no candidate, no traces; reference oracle).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FitnessNet::forward`].
-    pub fn predict_spec(&self, spec: &SpecEncoding) -> Result<Vec<f32>, NnError> {
-        self.predict(spec, &CandidateEncoding::spec_only())
-    }
-
     /// Batched inference over many candidates sharing one specification
     /// encoding — the one shipped inference path: a whole GA population is
     /// scored per generation, and the FP head scores a specification as a
@@ -338,10 +274,10 @@ impl FitnessNet {
     /// no IO tokens at all, so there is nothing to deduplicate), the
     /// trace-step encoder processes every *distinct* trace value of every
     /// candidate in one batched call, and the trace and example LSTMs step
-    /// all sequences together (a prefix-sharing [`SequenceTrie`] and a
-    /// time-major [`TimeMajorBatch`]). Returns one logit vector per
-    /// candidate, in input order, bit-identical to the per-sample
-    /// [`FitnessNet::predict`] oracle.
+    /// all sequences together, each over a prefix-sharing [`SequenceTrie`].
+    /// Returns one logit vector per candidate, in input order,
+    /// bit-identical to the per-sample reference pass of the dev-only
+    /// `netsyn-oracle` crate.
     ///
     /// Trace values whose step-encoder hidden state an earlier batch
     /// computed — a previous GA generation, or a previous run of the same
@@ -447,28 +383,31 @@ impl FitnessNet {
         let trace_hidden = self.trace_lstm.forward_batch_trie(&trace_trie);
 
         // Stage 4: one (io encoding ‖ trace encoding) sequence per
-        // candidate, also flat, combined by the example LSTM over the whole
-        // batch. The io encodings are the shared spec rows — referenced per
-        // candidate, never re-encoded.
+        // candidate, combined by the example LSTM over a prefix-sharing trie.
+        // The io encodings are the shared spec rows — referenced per
+        // candidate, never re-encoded. A step at depth `e` is keyed by the
+        // trace trie node its (candidate, example `e`) sequence ended on
+        // (`u64::MAX` for an empty trace): the depth fixes the io row and
+        // the node fixes the trace encoding, so equal keys imply
+        // bit-identical input rows, and candidates whose leading examples
+        // ran identical traces share those steps.
         let example_dim = enc_dim + self.config.trace_hidden_dim;
-        let mut example_batch = SequenceBatch::with_capacity(
-            example_dim,
-            candidates.len() * spec.len(),
-            candidates.len(),
-        );
+        let mut example_trie = SequenceTrie::new(example_dim);
         let mut flat_example = 0usize;
         for _candidate in candidates {
-            example_batch.begin_sequence();
+            example_trie.begin_sequence();
             for io_h in io_hidden.iter().take(spec.len()) {
-                let row = example_batch.push_row();
-                row[..enc_dim].copy_from_slice(io_h);
-                row[enc_dim..].copy_from_slice(&trace_hidden[flat_example]);
+                let key = trace_trie.terminals()[flat_example].map_or(u64::MAX, |(depth, slot)| {
+                    ((depth as u64) << 32) | slot as u64
+                });
+                if let Some(row) = example_trie.push_step(key) {
+                    row[..enc_dim].copy_from_slice(io_h);
+                    row[enc_dim..].copy_from_slice(&trace_hidden[flat_example]);
+                }
                 flat_example += 1;
             }
         }
-        let summaries = self
-            .example_lstm
-            .forward_batch_time_major(&TimeMajorBatch::from_batch(&example_batch));
+        let summaries = self.example_lstm.forward_batch_trie(&example_trie);
 
         // Stage 5: classify all summaries with one batched head pass.
         let mut summary_mat = Matrix::zeros(candidates.len(), self.config.example_hidden_dim);
@@ -486,7 +425,7 @@ impl FitnessNet {
     /// the whole batch at once on the gather-free time-major kernels
     /// ([`Lstm::forward_batch_train`], [`Mlp::forward_batch_train`]).
     /// Returns one logit vector per sample, in input order, bit-identical to
-    /// per-sample [`FitnessNet::forward`] calls, plus the cache
+    /// the per-sample reference pass, plus the cache
     /// [`FitnessNet::backward_batch`] consumes.
     ///
     /// Unlike [`FitnessNet::predict_batch_with`] nothing is deduplicated:
@@ -592,8 +531,8 @@ impl FitnessNet {
 
     /// Batched backward pass: `grad_logits[s]` is the loss gradient on
     /// sample `s`'s logits. Accumulates gradients in every component,
-    /// **bit-identical** to looping [`FitnessNet::backward`] over the
-    /// samples in input order: each batched component replays its parameter
+    /// **bit-identical** to looping the per-sample reference backward over
+    /// the samples in input order: each batched component replays its parameter
     /// accumulation in the flattened lexicographic sequence order of the
     /// cache, which is the per-sample visit order — and contributions to
     /// *different* parameters commute, so the coarser interleaving of the
@@ -659,36 +598,6 @@ impl FitnessNet {
         self.step_encoder
             .backward_batch(&cache.step_cache, &grad_step_hidden);
     }
-
-    /// Per-sample backward pass (reference oracle): accumulates gradients in
-    /// every component given the gradient of the loss with respect to the
-    /// output logits.
-    pub fn backward(&mut self, cache: &FitnessNetCache, grad_logits: &[f32]) {
-        let grad_summary = self.head.backward(&cache.head_cache, grad_logits);
-        let example_grads = self
-            .example_lstm
-            .backward(&cache.example_lstm_cache, &grad_summary);
-        let io_dim = self.config.encoder_hidden_dim;
-        let func_dim = self.config.function_embed_dim;
-        for (example_cache, example_grad) in cache.example_caches.iter().zip(example_grads.iter()) {
-            let (grad_io, grad_trace) = example_grad.split_at(io_dim);
-            self.io_encoder.backward(&example_cache.io_cache, grad_io);
-            let step_grads = self
-                .trace_lstm
-                .backward(&example_cache.trace_cache, grad_trace);
-            for ((step_cache, &function), step_grad) in example_cache
-                .step_caches
-                .iter()
-                .zip(example_cache.step_functions.iter())
-                .zip(step_grads.iter())
-            {
-                let (grad_function, grad_step_hidden) = step_grad.split_at(func_dim);
-                self.function_embedding
-                    .backward(&[function], &[grad_function.to_vec()]);
-                self.step_encoder.backward(step_cache, grad_step_hidden);
-            }
-        }
-    }
 }
 
 impl Parameterized for FitnessNet {
@@ -747,13 +656,24 @@ mod tests {
         )
     }
 
+    /// Logits of `candidates` through the shipped batched pass, with a
+    /// fresh trace-encoding memo.
+    fn predict(
+        net: &FitnessNet,
+        spec: &SpecEncoding,
+        candidates: &[CandidateEncoding],
+    ) -> Vec<Vec<f32>> {
+        net.predict_batch_with(spec, candidates, &TraceEncodingCache::new())
+            .unwrap()
+    }
+
     #[test]
     fn forward_produces_requested_output_dim() {
         let net = FitnessNet::new(tiny_config(6), EncodingConfig::new(), &mut rng());
         assert_eq!(net.output_dim(), 6);
         let spec_encoding = encode_spec(net.encoding(), &spec());
         let candidate = encode_candidate(net.encoding(), &spec(), &target());
-        let logits = net.predict(&spec_encoding, &candidate).unwrap();
+        let logits = &predict(&net, &spec_encoding, &[candidate])[0];
         assert_eq!(logits.len(), 6);
         assert!(logits.iter().all(|x| x.is_finite()));
     }
@@ -763,7 +683,7 @@ mod tests {
         // The FP head encodes only the specification.
         let net = FitnessNet::new(tiny_config(41), EncodingConfig::new(), &mut rng());
         let spec_encoding = encode_spec(net.encoding(), &spec());
-        let logits = net.predict_spec(&spec_encoding).unwrap();
+        let logits = &predict(&net, &spec_encoding, &[CandidateEncoding::spec_only()])[0];
         assert_eq!(logits.len(), 41);
     }
 
@@ -774,41 +694,10 @@ mod tests {
         let a = encode_candidate(net.encoding(), &spec(), &target());
         let other = Program::new(vec![Function::Head, Function::Sum, Function::Last]);
         let b = encode_candidate(net.encoding(), &spec(), &other);
-        assert_ne!(
-            net.predict(&spec_encoding, &a).unwrap(),
-            net.predict(&spec_encoding, &b).unwrap()
-        );
-    }
-
-    #[test]
-    fn batched_predict_is_bit_identical_to_single() {
-        let net = FitnessNet::new(tiny_config(6), EncodingConfig::new(), &mut rng());
-        let candidates = [
-            target(),
-            Program::new(vec![Function::Head, Function::Sum, Function::Last]),
-            Program::default(),
-            target(), // duplicate: must get the identical logits
-        ];
-        let spec_encoding = encode_spec(net.encoding(), &spec());
-        let encodings: Vec<CandidateEncoding> = candidates
-            .iter()
-            .map(|c| encode_candidate(net.encoding(), &spec(), c))
-            .collect();
-        let batched = net
-            .predict_batch_with(&spec_encoding, &encodings, &TraceEncodingCache::new())
-            .unwrap();
-        assert_eq!(batched.len(), encodings.len());
-        for (candidate, batch_logits) in encodings.iter().zip(batched.iter()) {
-            let single = net.predict(&spec_encoding, candidate).unwrap();
-            assert_eq!(batch_logits.len(), single.len());
-            for (a, b) in batch_logits.iter().zip(single.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        assert!(net
-            .predict_batch_with(&spec_encoding, &[], &TraceEncodingCache::new())
-            .unwrap()
-            .is_empty());
+        let logits = predict(&net, &spec_encoding, &[a.clone(), b, a]);
+        assert_ne!(logits[0], logits[1]);
+        assert_eq!(logits[0], logits[2]);
+        assert!(predict(&net, &spec_encoding, &[]).is_empty());
     }
 
     #[test]
@@ -863,104 +752,21 @@ mod tests {
     }
 
     #[test]
-    fn batched_predict_handles_spec_only_samples() {
-        // The FP head has no traces; batching must cope with trace-less
-        // candidates mixed into the same call.
-        let net = FitnessNet::new(tiny_config(41), EncodingConfig::new(), &mut rng());
-        let spec_encoding = encode_spec(net.encoding(), &spec());
-        let with_trace = encode_candidate(net.encoding(), &spec(), &target());
-        let spec_only = CandidateEncoding::spec_only();
-        let batched = net
-            .predict_batch_with(
-                &spec_encoding,
-                &[spec_only.clone(), with_trace.clone()],
-                &TraceEncodingCache::new(),
-            )
-            .unwrap();
-        for (candidate, batch_logits) in [spec_only, with_trace].iter().zip(batched.iter()) {
-            let single = net.predict(&spec_encoding, candidate).unwrap();
-            for (a, b) in batch_logits.iter().zip(single.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        // predict_spec is exactly the spec-only forward pass.
-        let fp = net.predict_spec(&spec_encoding).unwrap();
-        let manual = net
-            .predict(&spec_encoding, &CandidateEncoding::spec_only())
-            .unwrap();
-        assert_eq!(fp, manual);
-    }
-
-    #[test]
-    fn batched_train_path_is_bit_identical_to_per_sample() {
-        let mut net = FitnessNet::new(tiny_config(6), EncodingConfig::new(), &mut rng());
-        // Two specs with different example counts (ragged example LSTM
-        // batching) and a spec-only sample (empty traces everywhere).
-        let spec_a = spec();
-        let spec_b = IoSpec::from_program(
-            &target(),
-            &[
-                vec![Value::List(vec![4, -1])],
-                vec![Value::List(vec![7])],
-                vec![Value::List(vec![0, 0, 9])],
-            ],
-        );
-        let enc_a = encode_spec(net.encoding(), &spec_a);
-        let enc_b = encode_spec(net.encoding(), &spec_b);
-        let other = Program::new(vec![Function::Head, Function::Sum, Function::Last]);
-        let cands = [
-            encode_candidate(net.encoding(), &spec_a, &target()),
-            encode_candidate(net.encoding(), &spec_b, &other),
-            CandidateEncoding::spec_only(),
-            encode_candidate(net.encoding(), &spec_a, &target()),
-        ];
-        let samples: Vec<(&SpecEncoding, &CandidateEncoding)> = vec![
-            (&enc_a, &cands[0]),
-            (&enc_b, &cands[1]),
-            (&enc_a, &cands[2]),
-            (&enc_a, &cands[3]),
-        ];
-
-        let (batched_logits, batch_cache) = net.forward_batch_train(&samples).unwrap();
-        let grad_logits: Vec<Vec<f32>> = batched_logits
-            .iter()
-            .map(|logits| softmax_cross_entropy(logits, 2).1)
-            .collect();
-
-        // Reference: per-sample forward/backward in input order.
-        let mut reference = net.clone();
-        reference.zero_grad();
-        for (s, ((spec_enc, cand), grad)) in samples.iter().zip(grad_logits.iter()).enumerate() {
-            let (logits, cache) = reference.forward(spec_enc, cand).unwrap();
-            for (a, b) in batched_logits[s].iter().zip(logits.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "logits of sample {s}");
-            }
-            reference.backward(&cache, grad);
-        }
-
-        net.zero_grad();
-        net.backward_batch(&batch_cache, &grad_logits);
-        for (p_batched, p_ref) in net.params_mut().iter().zip(reference.params_mut().iter()) {
-            for (a, b) in p_batched.grad.data().iter().zip(p_ref.grad.data().iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "parameter gradient mismatch");
-            }
-        }
-    }
-
-    #[test]
     fn backward_accumulates_gradients_everywhere() {
         let mut net = FitnessNet::new(tiny_config(6), EncodingConfig::new(), &mut rng());
         let spec_encoding = encode_spec(net.encoding(), &spec());
         let candidate = encode_candidate(net.encoding(), &spec(), &target());
-        let (logits, cache) = net.forward(&spec_encoding, &candidate).unwrap();
-        let (_, grad) = softmax_cross_entropy(&logits, 3);
+        let (logits, cache) = net
+            .forward_batch_train(&[(&spec_encoding, &candidate)])
+            .unwrap();
+        let (_, grad) = softmax_cross_entropy(&logits[0], 3);
         net.zero_grad();
-        net.backward(&cache, &grad);
+        net.backward_batch(&cache, &[grad]);
         assert!(net.grad_norm() > 0.0);
     }
 
-    /// Numerical gradient check through the whole architecture on a tiny
-    /// configuration.
+    /// Numerical gradient check of the batched training pass through the
+    /// whole architecture on a tiny configuration.
     #[test]
     fn numerical_gradient_check_end_to_end() {
         let mut net = FitnessNet::new(tiny_config(3), EncodingConfig::new(), &mut rng());
@@ -968,13 +774,15 @@ mod tests {
         let candidate = encode_candidate(net.encoding(), &spec(), &target());
         let target_class = 1usize;
         let loss_of = |net: &FitnessNet, candidate: &CandidateEncoding| -> f32 {
-            let logits = net.predict(&spec_encoding, candidate).unwrap();
-            softmax_cross_entropy(&logits, target_class).0
+            let logits = &predict(net, &spec_encoding, std::slice::from_ref(candidate))[0];
+            softmax_cross_entropy(logits, target_class).0
         };
-        let (logits, cache) = net.forward(&spec_encoding, &candidate).unwrap();
-        let (_, grad_logits) = softmax_cross_entropy(&logits, target_class);
+        let (logits, cache) = net
+            .forward_batch_train(&[(&spec_encoding, &candidate)])
+            .unwrap();
+        let (_, grad_logits) = softmax_cross_entropy(&logits[0], target_class);
         net.zero_grad();
-        net.backward(&cache, &grad_logits);
+        net.backward_batch(&cache, &[grad_logits]);
 
         let eps = 2e-2_f32;
         // Probe one entry of every non-head parameter (encoders, embeddings,
@@ -987,10 +795,13 @@ mod tests {
         for (which, r, c) in probes {
             let orig = net.params_mut()[which].value.get(r, c);
             net.params_mut()[which].value.set(r, c, orig + eps);
+            net.params_mut()[which].invalidate_transpose();
             let lp = loss_of(&net, &candidate);
             net.params_mut()[which].value.set(r, c, orig - eps);
+            net.params_mut()[which].invalidate_transpose();
             let lm = loss_of(&net, &candidate);
             net.params_mut()[which].value.set(r, c, orig);
+            net.params_mut()[which].invalidate_transpose();
             let num = (lp - lm) / (2.0 * eps);
             let ana = net.params_mut()[which].grad.get(r, c);
             assert!(
@@ -1010,9 +821,11 @@ mod tests {
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..60 {
-            let (logits, cache) = net.forward(&spec_encoding, &candidate).unwrap();
-            let (loss, grad) = softmax_cross_entropy(&logits, 4);
-            net.backward(&cache, &grad);
+            let (logits, cache) = net
+                .forward_batch_train(&[(&spec_encoding, &candidate)])
+                .unwrap();
+            let (loss, grad) = softmax_cross_entropy(&logits[0], 4);
+            net.backward_batch(&cache, &[grad]);
             optimizer.step(&mut net.params_mut());
             net.zero_grad();
             first_loss.get_or_insert(loss);

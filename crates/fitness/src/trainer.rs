@@ -201,71 +201,57 @@ fn as_pairs(
     encodings.iter().map(|(s, c)| (s, c)).collect()
 }
 
-/// Runs one minibatch's forward / loss / backward, returning its summed loss.
-///
-/// With `batched` set the whole chunk goes through the batched SIMD kernels;
-/// with it unset this is the per-sample reference loop.
-fn train_minibatch(
-    kind: FitnessModelKind,
+/// The kernels under one training minibatch: runs `net` forward over
+/// `batch`, asks `grad_of(i, logits)` for sample `i`'s loss gradient (in
+/// batch order) and accumulates the parameter gradients.
+pub type MinibatchStep = fn(
     net: &mut FitnessNet,
-    samples: &[FitnessSample],
-    chunk: &[usize],
-    encodings: &[(SpecEncoding, CandidateEncoding)],
-    batched: bool,
-) -> f64 {
-    let mut total = 0.0f64;
-    if batched {
-        let (logits, cache) = net
-            .forward_batch_train(&as_pairs(encodings))
-            .expect(IN_RANGE);
-        let mut grads = Vec::with_capacity(chunk.len());
-        for (&idx, logit_row) in chunk.iter().zip(logits.iter()) {
-            let (loss, grad) = loss_and_grad(kind, logit_row, &samples[idx]);
-            total += f64::from(loss);
-            grads.push(grad);
-        }
-        net.backward_batch(&cache, &grads);
-        return total;
-    }
-    for (&idx, (spec_encoding, candidate_encoding)) in chunk.iter().zip(encodings.iter()) {
-        let (logits, cache) = net
-            .forward(spec_encoding, candidate_encoding)
-            .expect(IN_RANGE);
-        let (loss, grad) = loss_and_grad(kind, &logits, &samples[idx]);
-        total += f64::from(loss);
-        net.backward(&cache, &grad);
-    }
-    total
+    batch: &[(&SpecEncoding, &CandidateEncoding)],
+    grad_of: &mut dyn FnMut(usize, &[f32]) -> Vec<f32>,
+);
+
+/// The kernels under one validation chunk: the logits of every sample of
+/// `batch`, in order.
+pub type LogitSweep =
+    fn(net: &FitnessNet, batch: &[(&SpecEncoding, &CandidateEncoding)]) -> Vec<Vec<f32>>;
+
+/// The shipped [`MinibatchStep`]: the whole chunk through
+/// [`FitnessNet::forward_batch_train`] and [`FitnessNet::backward_batch`].
+fn batched_step(
+    net: &mut FitnessNet,
+    batch: &[(&SpecEncoding, &CandidateEncoding)],
+    grad_of: &mut dyn FnMut(usize, &[f32]) -> Vec<f32>,
+) {
+    let (logits, cache) = net.forward_batch_train(batch).expect(IN_RANGE);
+    let grads: Vec<Vec<f32>> = logits
+        .iter()
+        .enumerate()
+        .map(|(i, row)| grad_of(i, row))
+        .collect();
+    net.backward_batch(&cache, &grads);
 }
 
-/// The logits of the samples at `indices`, in order. `batch: Some(n)` runs
-/// chunks of `n` through [`FitnessNet::forward_batch_train`] — the kernels
-/// and peak memory of a training minibatch, with the gradient cache
-/// dropped; `None` runs the per-sample [`FitnessNet::predict`] oracle.
-fn sample_logits(
-    kind: FitnessModelKind,
+/// The shipped [`LogitSweep`]: the kernels and peak memory of a training
+/// minibatch, with the gradient cache dropped.
+fn batched_logits(
     net: &FitnessNet,
-    samples: &[FitnessSample],
+    batch: &[(&SpecEncoding, &CandidateEncoding)],
+) -> Vec<Vec<f32>> {
+    net.forward_batch_train(batch).expect(IN_RANGE).0
+}
+
+/// The logits of the samples at `indices`, in order: `encode` turns each
+/// chunk of `chunk_size` indices into network inputs, `sweep` runs them.
+fn sample_logits(
+    net: &FitnessNet,
     indices: &[usize],
-    encoding: &EncodingConfig,
-    spec_encodings: &SpecEncodingMap,
-    batch: Option<usize>,
+    chunk_size: usize,
+    sweep: LogitSweep,
+    encode: impl Fn(&[usize]) -> Vec<(SpecEncoding, CandidateEncoding)>,
 ) -> Vec<Vec<f32>> {
     let mut logits = Vec::with_capacity(indices.len());
-    for chunk in indices.chunks(batch.unwrap_or(1)) {
-        let encodings = encode_chunk(kind, samples, chunk, encoding, spec_encodings);
-        if batch.is_some() {
-            let (rows, _cache) = net
-                .forward_batch_train(&as_pairs(&encodings))
-                .expect(IN_RANGE);
-            logits.extend(rows);
-        } else {
-            logits.extend(
-                encodings
-                    .iter()
-                    .map(|(spec, candidate)| net.predict(spec, candidate).expect(IN_RANGE)),
-            );
-        }
+    for chunk in indices.chunks(chunk_size) {
+        logits.extend(sweep(net, &as_pairs(&encode(chunk))));
     }
     logits
 }
@@ -287,9 +273,10 @@ fn classification_label(kind: FitnessModelKind, sample: &FitnessSample) -> usize
 /// Each minibatch runs through the batched SIMD training kernels
 /// ([`FitnessNet::forward_batch_train`] / [`FitnessNet::backward_batch`]),
 /// which are bit-identical to the per-sample path — the returned model is
-/// byte-for-byte the one [`train_fitness_model_reference`] produces from the
-/// same inputs and seed. The per-epoch validation passes run the same
-/// kernels in minibatches of `config.batch_size`.
+/// byte-for-byte the one the per-sample reference trainer of the dev-only
+/// `netsyn-oracle` crate produces from the same inputs and seed. The
+/// per-epoch validation passes run the same kernels in minibatches of
+/// `config.batch_size`.
 pub fn train_fitness_model<R: Rng + ?Sized>(
     kind: FitnessModelKind,
     samples: &[FitnessSample],
@@ -297,32 +284,31 @@ pub fn train_fitness_model<R: Rng + ?Sized>(
     config: &TrainerConfig,
     rng: &mut R,
 ) -> TrainedFitnessModel {
-    train_fitness_model_impl(kind, samples, program_length, config, rng, true)
+    train_fitness_model_with(
+        kind,
+        samples,
+        program_length,
+        config,
+        rng,
+        batched_step,
+        batched_logits,
+    )
 }
 
-/// The scalar per-sample training loop [`train_fitness_model`] is certified
-/// against: forward, loss and backward (and validation) run one sample at a
-/// time in minibatch order on the per-sample [`FitnessNet`] oracle. Kept
-/// public as the equivalence baseline (the batched trainer must produce a
-/// byte-identical model); prefer [`train_fitness_model`], which is the same
-/// trajectory on the batched kernels.
-pub fn train_fitness_model_reference<R: Rng + ?Sized>(
+/// [`train_fitness_model`] with the kernels under each minibatch (`step`)
+/// and each validation chunk (`sweep`) supplied by the caller. The loop —
+/// split, shuffles, losses, clipping, optimizer steps, accuracy and
+/// confusion matrix — is the same, so two kernel sets that compute the
+/// same bits train the same model; `netsyn-oracle` passes its per-sample
+/// kernels here to certify the batched ones.
+pub fn train_fitness_model_with<R: Rng + ?Sized>(
     kind: FitnessModelKind,
     samples: &[FitnessSample],
     program_length: usize,
     config: &TrainerConfig,
     rng: &mut R,
-) -> TrainedFitnessModel {
-    train_fitness_model_impl(kind, samples, program_length, config, rng, false)
-}
-
-fn train_fitness_model_impl<R: Rng + ?Sized>(
-    kind: FitnessModelKind,
-    samples: &[FitnessSample],
-    program_length: usize,
-    config: &TrainerConfig,
-    rng: &mut R,
-    batched: bool,
+    step: MinibatchStep,
+    sweep: LogitSweep,
 ) -> TrainedFitnessModel {
     let output_dim = match kind {
         FitnessModelKind::FunctionProbability => config.encoding.function_vocab_size(),
@@ -347,19 +333,10 @@ fn train_fitness_model_impl<R: Rng + ?Sized>(
     // training trajectory is unchanged.
     let spec_encodings = SpecEncodingMap::new();
     let batch_size = config.batch_size.max(1);
-    let validation_logits = |net: &FitnessNet| {
-        let batch = batched.then_some(batch_size);
-        let encoding = &config.encoding;
-        sample_logits(
-            kind,
-            net,
-            samples,
-            validation_idx,
-            encoding,
-            &spec_encodings,
-            batch,
-        )
-    };
+    let encode =
+        |chunk: &[usize]| encode_chunk(kind, samples, chunk, &config.encoding, &spec_encodings);
+    let validation_logits =
+        |net: &FitnessNet| sample_logits(net, validation_idx, batch_size, sweep, encode);
     // The last epoch's validation logits come from the final net, so the
     // confusion matrix reuses them.
     let mut final_logits = None;
@@ -367,8 +344,11 @@ fn train_fitness_model_impl<R: Rng + ?Sized>(
         order.shuffle(rng);
         let mut total_loss = 0.0;
         for chunk in order.chunks(batch_size) {
-            let encodings = encode_chunk(kind, samples, chunk, &config.encoding, &spec_encodings);
-            total_loss += train_minibatch(kind, &mut net, samples, chunk, &encodings, batched);
+            step(&mut net, &as_pairs(&encode(chunk)), &mut |i, logits| {
+                let (loss, grad) = loss_and_grad(kind, logits, &samples[chunk[i]]);
+                total_loss += f64::from(loss);
+                grad
+            });
             net.clip_grad_norm(config.grad_clip);
             optimizer.step(&mut net.params_mut());
             net.zero_grad();
@@ -462,14 +442,13 @@ pub fn evaluate_confusion(
     encoding: &EncodingConfig,
 ) -> ConfusionMatrix {
     let indices: Vec<usize> = (0..samples.len()).collect();
+    let spec_encodings = SpecEncodingMap::new();
     let logits = sample_logits(
-        model.kind,
         &model.net,
-        samples,
         &indices,
-        encoding,
-        &SpecEncodingMap::new(),
-        Some(TrainerConfig::small().batch_size),
+        TrainerConfig::small().batch_size,
+        batched_logits,
+        |chunk| encode_chunk(model.kind, samples, chunk, encoding, &spec_encodings),
     );
     confusion_matrix(model.kind, samples, &indices, &logits, model.program_length)
 }
@@ -613,47 +592,6 @@ mod tests {
             distinct.len() < samples.len(),
             "samples of one target share a spec"
         );
-    }
-
-    #[test]
-    fn batched_trainer_matches_reference_byte_for_byte() {
-        // The batched minibatch path must reproduce the scalar per-sample
-        // trajectory exactly — same weights, same loss curve, same report —
-        // for both a classification head (CF, real traces) and the
-        // trace-less FP head. JSON compares every f32 bit-faithfully.
-        for fp in [false, true] {
-            let make = |batched: bool| {
-                let mut r = rng(11);
-                let (kind, samples) = if fp {
-                    (
-                        FitnessModelKind::FunctionProbability,
-                        generate_fp_dataset(&tiny_dataset_config(3), &mut r).unwrap(),
-                    )
-                } else {
-                    (
-                        FitnessModelKind::CommonFunctions,
-                        generate_dataset(
-                            &tiny_dataset_config(3),
-                            BalanceMetric::CommonFunctions,
-                            &mut r,
-                        )
-                        .unwrap(),
-                    )
-                };
-                if batched {
-                    train_fitness_model(kind, &samples, 3, &tiny_trainer_config(), &mut r)
-                } else {
-                    train_fitness_model_reference(kind, &samples, 3, &tiny_trainer_config(), &mut r)
-                }
-            };
-            let batched = make(true);
-            let reference = make(false);
-            assert_eq!(
-                serde_json::to_string(&batched).unwrap(),
-                serde_json::to_string(&reference).unwrap(),
-                "batched and reference trainers diverged (fp = {fp})"
-            );
-        }
     }
 
     #[test]

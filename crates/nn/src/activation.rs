@@ -79,14 +79,8 @@ impl Activation {
         }
     }
 
-    /// Applies the activation element-wise to a slice.
-    #[must_use]
-    pub fn apply_slice(self, xs: &[f32]) -> Vec<f32> {
-        xs.iter().map(|&x| self.apply(x)).collect()
-    }
-
     /// Applies the activation element-wise to every row of a matrix, in
-    /// place (the batched counterpart of [`Activation::apply_slice`]).
+    /// place.
     ///
     /// Tanh and sigmoid run through the lane-vectorized, bitwise
     /// libm-compatible kernels in [`crate::simd`]; ReLU is a plain `max`
@@ -163,8 +157,9 @@ mod tests {
             assert_eq!(Activation::Tanh.apply(x), tanh(x));
             assert_eq!(Activation::Sigmoid.apply(x), sigmoid(x));
         }
-        let xs = [-1.0, 0.0, 1.0];
-        assert_eq!(Activation::Relu.apply_slice(&xs), vec![0.0, 0.0, 1.0]);
+        let mut xs = Matrix::from_vec(1, 3, vec![-1.0, 0.0, 1.0]);
+        Activation::Relu.apply_rows(&mut xs);
+        assert_eq!(xs.data(), &[0.0, 0.0, 1.0]);
     }
 
     #[test]

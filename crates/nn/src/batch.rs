@@ -114,7 +114,7 @@ impl SequenceBatch {
 }
 
 /// A length-sorted, time-major repacking of a [`SequenceBatch`] — the layout
-/// the gather-free batched LSTM paths consume.
+/// the gather-free batched LSTM training pass consumes.
 ///
 /// Sequences are ordered longest-first (ties keep input order, making the
 /// layout deterministic), and all rows belonging to time step `t` are stored
@@ -393,8 +393,11 @@ impl SequenceTrie {
         &self.levels
     }
 
-    /// The terminal node of each sequence.
-    pub(crate) fn terminals(&self) -> &[Option<(usize, usize)>] {
+    /// The terminal node of each sequence, as `(depth, slot)`; `None` for
+    /// an empty sequence. Two sequences share a terminal exactly when their
+    /// step keys are equal, so a terminal names its whole key sequence.
+    #[must_use]
+    pub fn terminals(&self) -> &[Option<(usize, usize)>] {
         &self.terminals
     }
 }

@@ -34,18 +34,8 @@ impl Embedding {
         self.weight.value.cols()
     }
 
-    /// Looks up one token.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::VocabOutOfRange`] if the token id is out of range.
-    pub fn lookup(&self, token: usize) -> Result<Vec<f32>, NnError> {
-        self.row(token).map(<[f32]>::to_vec)
-    }
-
-    /// Borrows one token's embedding row — the allocation-free
-    /// [`Embedding::lookup`], for batch builders that copy rows into flat
-    /// storage.
+    /// Borrows one token's embedding row, for batch builders that copy rows
+    /// into flat storage.
     ///
     /// # Errors
     ///
@@ -60,33 +50,10 @@ impl Embedding {
         Ok(self.weight.value.row(token))
     }
 
-    /// Looks up a sequence of tokens.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::VocabOutOfRange`] if any token id is out of range.
-    pub fn forward(&self, tokens: &[usize]) -> Result<Vec<Vec<f32>>, NnError> {
-        tokens.iter().map(|&t| self.lookup(t)).collect()
-    }
-
-    /// Accumulates gradients for the rows used in a forward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` and `grads` have different lengths or a gradient
-    /// vector has the wrong dimension; token ids must have been validated by
-    /// the forward pass.
-    pub fn backward(&mut self, tokens: &[usize], grads: &[Vec<f32>]) {
-        assert_eq!(tokens.len(), grads.len(), "token/gradient count mismatch");
-        for (&t, g) in tokens.iter().zip(grads.iter()) {
-            self.backward_row(t, g);
-        }
-    }
-
     /// Accumulates the gradient for a single token occurrence — the
-    /// scatter primitive under [`Embedding::backward`] and the batched
-    /// encoder backward (which replays occurrences in the same
-    /// token-order-per-sequence the per-sample path uses).
+    /// scatter primitive of the batched encoder backward (which replays
+    /// occurrences in the same token-order-per-sequence the per-sample path
+    /// uses).
     ///
     /// # Panics
     ///
@@ -123,25 +90,18 @@ mod tests {
         let e = embedding();
         assert_eq!(e.vocab_size(), 5);
         assert_eq!(e.dim(), 4);
-        let v = e.lookup(2).unwrap();
+        let v = e.row(2).unwrap();
         assert_eq!(v.len(), 4);
-        assert!(e.lookup(5).is_err());
-    }
-
-    #[test]
-    fn forward_returns_one_vector_per_token() {
-        let e = embedding();
-        let out = e.forward(&[0, 1, 1, 4]).unwrap();
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[1], out[2], "same token maps to the same vector");
-        assert!(e.forward(&[0, 9]).is_err());
+        assert!(e.row(5).is_err());
     }
 
     #[test]
     fn backward_accumulates_per_row() {
         let mut e = embedding();
         let g = vec![1.0, 2.0, 3.0, 4.0];
-        e.backward(&[1, 1, 3], &[g.clone(), g.clone(), g.clone()]);
+        for token in [1, 1, 3] {
+            e.backward_row(token, &g);
+        }
         // Row 1 was used twice, row 3 once, others never.
         let grad = &e.params_mut()[0].grad;
         assert_eq!(grad.row(1), &[2.0, 4.0, 6.0, 8.0]);

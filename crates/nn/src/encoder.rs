@@ -9,7 +9,7 @@
 use crate::batch::{SequenceBatch, SequenceTrie, TimeMajorBatch};
 use crate::embedding::Embedding;
 use crate::error::NnError;
-use crate::lstm::{Lstm, LstmBatchCache, LstmCache};
+use crate::lstm::{Lstm, LstmBatchCache};
 use crate::param::{Param, Parameterized};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -19,13 +19,6 @@ use serde::{Deserialize, Serialize};
 pub struct SequenceEncoder {
     embedding: Embedding,
     lstm: Lstm,
-}
-
-/// Cache of a [`SequenceEncoder::forward`] pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SequenceEncoderCache {
-    tokens: Vec<usize>,
-    lstm_cache: LstmCache,
 }
 
 /// Cache of a [`SequenceEncoder::forward_batch_train`] pass.
@@ -64,22 +57,16 @@ impl SequenceEncoder {
         self.embedding.vocab_size()
     }
 
-    /// Encodes a token sequence into the LSTM's final hidden state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::VocabOutOfRange`] if a token is outside the
-    /// vocabulary.
-    pub fn forward(&self, tokens: &[usize]) -> Result<(Vec<f32>, SequenceEncoderCache), NnError> {
-        let embedded = self.embedding.forward(tokens)?;
-        let (hidden, lstm_cache) = self.lstm.forward(&embedded);
-        Ok((
-            hidden,
-            SequenceEncoderCache {
-                tokens: tokens.to_vec(),
-                lstm_cache,
-            },
-        ))
+    /// The token embedding table.
+    #[must_use]
+    pub fn embedding(&self) -> &Embedding {
+        &self.embedding
+    }
+
+    /// The LSTM over the embedded tokens.
+    #[must_use]
+    pub fn lstm(&self) -> &Lstm {
+        &self.lstm
     }
 
     /// Batched inference over many token sequences: embeds every sequence
@@ -87,8 +74,8 @@ impl SequenceEncoder {
     /// same tokens share their LSTM steps — trace values in a GA population
     /// overlap heavily) and runs the LSTM over the trie (see
     /// [`Lstm::forward_batch_trie`]). Returns one final hidden state per
-    /// sequence, in input order, bit-identical to per-sequence
-    /// [`SequenceEncoder::forward`] calls.
+    /// sequence, in input order, bit-identical to encoding each sequence on
+    /// its own.
     ///
     /// # Errors
     ///
@@ -108,17 +95,10 @@ impl SequenceEncoder {
         Ok(self.lstm.forward_batch_trie(&trie))
     }
 
-    /// Backpropagates a gradient on the encoder output, accumulating
-    /// parameter gradients in the LSTM and the embedding table.
-    pub fn backward(&mut self, cache: &SequenceEncoderCache, grad_hidden: &[f32]) {
-        let input_grads = self.lstm.backward(&cache.lstm_cache, grad_hidden);
-        self.embedding.backward(&cache.tokens, &input_grads);
-    }
-
     /// Batched training forward pass over many token sequences: embeds every
     /// sequence into a time-major batch and runs the batched LSTM training
     /// forward. Returns one final hidden state per sequence, in input order,
-    /// bit-identical to per-sequence [`SequenceEncoder::forward`] calls.
+    /// bit-identical to encoding each sequence on its own.
     ///
     /// (Unlike [`SequenceEncoder::forward_batch`] this keeps every step —
     /// no prefix sharing — because training needs one gradient contribution
@@ -154,8 +134,8 @@ impl SequenceEncoder {
 
     /// Batched backward pass: `grad_hidden[s]` is the gradient on sequence
     /// `s`'s encoding. Accumulates parameter gradients in the LSTM and the
-    /// embedding table, **bit-identical** to looping
-    /// [`SequenceEncoder::backward`] over the sequences in input order: the
+    /// embedding table, **bit-identical** to looping the per-sample backward
+    /// over the sequences in input order: the
     /// LSTM's deferred sweep replays its parameter accumulation in exactly
     /// that order (see [`Lstm::backward_batch`]), and the embedding scatter
     /// then walks sequences in input order, tokens ascending — the
@@ -193,101 +173,34 @@ mod tests {
     }
 
     #[test]
-    fn forward_produces_hidden_vector() {
-        let enc = encoder();
-        assert_eq!(enc.hidden_dim(), 6);
-        assert_eq!(enc.vocab_size(), 10);
-        let (h, cache) = enc.forward(&[1, 2, 3, 4]).unwrap();
-        assert_eq!(h.len(), 6);
-        assert_eq!(cache.tokens, vec![1, 2, 3, 4]);
-        assert!(enc.forward(&[11]).is_err());
-    }
-
-    #[test]
     fn empty_sequence_encodes_to_zero() {
         let enc = encoder();
-        let (h, _) = enc.forward(&[]).unwrap();
-        assert_eq!(h, vec![0.0; 6]);
+        let h = enc.forward_batch(&[&[]]).unwrap();
+        assert_eq!(h, vec![vec![0.0; 6]]);
     }
 
     #[test]
     fn different_sequences_give_different_encodings() {
         let enc = encoder();
-        let (a, _) = enc.forward(&[1, 2, 3]).unwrap();
-        let (b, _) = enc.forward(&[3, 2, 1]).unwrap();
-        let (c, _) = enc.forward(&[1, 2, 3]).unwrap();
-        assert_eq!(a, c);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn batched_forward_is_bit_identical_to_single() {
-        let enc = encoder();
-        let sequences: Vec<&[usize]> = vec![&[1, 2, 3, 4], &[], &[9, 0], &[1, 2, 3, 4], &[5]];
-        let batched = enc.forward_batch(&sequences).unwrap();
-        assert_eq!(batched.len(), sequences.len());
-        for (tokens, batch_h) in sequences.iter().zip(batched.iter()) {
-            let (single_h, _) = enc.forward(tokens).unwrap();
-            for (a, b) in batch_h.iter().zip(single_h.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        // Out-of-vocabulary tokens fail the whole batch.
-        assert!(enc.forward_batch(&[&[1][..], &[10][..]]).is_err());
+        let h = enc
+            .forward_batch(&[&[1, 2, 3], &[3, 2, 1], &[1, 2, 3]])
+            .unwrap();
+        assert_eq!(h[0], h[2]);
+        assert_ne!(h[0], h[1]);
     }
 
     #[test]
     fn backward_accumulates_gradients_in_all_parameters() {
         let mut enc = encoder();
-        let (h, cache) = enc.forward(&[1, 2, 3]).unwrap();
+        let (h, cache) = enc.forward_batch_train(&[&[1, 2, 3]]).unwrap();
         enc.zero_grad();
-        enc.backward(&cache, &vec![1.0; h.len()]);
+        enc.backward_batch(&cache, &[vec![1.0; h[0].len()]]);
         let grad_norm = enc.grad_norm();
         assert!(grad_norm > 0.0, "some gradient must flow");
         // The embedding rows of unused tokens must stay zero.
         let embedding_grad = &enc.params_mut()[0].grad;
         assert!(embedding_grad.row(1).iter().any(|&g| g != 0.0));
         assert!(embedding_grad.row(7).iter().all(|&g| g == 0.0));
-    }
-
-    #[test]
-    fn batched_train_path_is_bit_identical_to_per_sample() {
-        let mut enc = encoder();
-        // Mixed lengths, an empty sequence, and a duplicate to exercise the
-        // length-sorted slot mapping and the per-occurrence embedding scatter.
-        let sequences: Vec<&[usize]> = vec![&[1, 2, 3, 4], &[], &[9, 0], &[1, 2, 3, 4], &[5, 5, 5]];
-
-        let (batched_finals, cache) = enc.forward_batch_train(&sequences).unwrap();
-        let grad_hidden: Vec<Vec<f32>> = (0..sequences.len())
-            .map(|s| {
-                (0..6)
-                    .map(|j| 0.05 * (s as f32 + 1.0) - 0.01 * j as f32)
-                    .collect()
-            })
-            .collect();
-
-        // Reference: per-sample forward/backward in input order.
-        let mut reference = enc.clone();
-        reference.zero_grad();
-        for (s, (tokens, g)) in sequences.iter().zip(grad_hidden.iter()).enumerate() {
-            let (h, sample_cache) = reference.forward(tokens).unwrap();
-            for (a, b) in batched_finals[s].iter().zip(h.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "final of sequence {s}");
-            }
-            reference.backward(&sample_cache, g);
-        }
-
-        enc.zero_grad();
-        enc.backward_batch(&cache, &grad_hidden);
-
-        for (p_batched, p_ref) in enc.params_mut().iter().zip(reference.params_mut().iter()) {
-            for (a, b) in p_batched.grad.data().iter().zip(p_ref.grad.data().iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "parameter gradient mismatch");
-            }
-        }
-
-        // Out-of-vocabulary tokens fail the whole batch.
-        assert!(enc.forward_batch_train(&[&[1][..], &[10][..]]).is_err());
     }
 
     #[test]

@@ -23,27 +23,19 @@
 //! ## Batched inference
 //!
 //! The genetic algorithm *scores whole populations per generation*, so
-//! every layer has a batch-aware inference path:
+//! every layer ships one batched path per operation. Inference runs on:
 //!
 //! * [`Matrix::matmul`] / [`Matrix::matmul_into`] — a cache-blocked matrix
 //!   product, parallelized across output rows for large operands, with a
 //!   reusable-output-buffer variant for hot loops;
 //! * [`Linear::forward_batch`] and [`Mlp::forward_batch`] — one GEMM per
 //!   layer over a `batch x dim` matrix instead of `batch` GEMVs;
-//! * [`SequenceBatch`] — flat row-major storage for batches of
-//!   variable-length vector sequences, so batch builders write rows with
-//!   `memcpy`s instead of allocating one `Vec<f32>` per step;
-//! * [`TimeMajorBatch`] — a length-sorted, *time-major* repacking of a
-//!   [`SequenceBatch`]: all rows of time step `t` are one contiguous slab,
-//!   and because sequences are ordered longest-first the still-active batch
-//!   is always a contiguous prefix of it. [`Lstm::forward_batch_time_major`]
-//!   feeds each step's slab straight into the blocked matmul — every time
-//!   step computes all four gates for the active prefix with two
-//!   gather-free matrix products;
 //! * [`SequenceTrie`] and [`Lstm::forward_batch_trie`] — prefix-sharing
-//!   batched inference: an LSTM state depends only on the consumed prefix,
-//!   so sequences sharing a prefix (interned trace values in a GA
-//!   population share ~30% of their steps) compute it exactly once.
+//!   batched inference, the one LSTM inference kernel: an LSTM state
+//!   depends only on the consumed prefix, so sequences sharing a prefix
+//!   (interned trace values in a GA population share ~30% of their steps)
+//!   compute it exactly once, and each depth's input rows feed the blocked
+//!   matmul straight from the trie's flat storage.
 //!   [`SequenceEncoder::forward_batch`] builds such a trie keyed by token;
 //! * [`hash::FxHasher`] — the fast interning hasher behind the trie edge
 //!   and token-sequence maps;
@@ -58,12 +50,12 @@
 //!   in-place mutation of [`Param::value`] must call
 //!   [`Param::invalidate_transpose`]).
 //!
-//! The batched paths are **bit-identical** to their per-sample
-//! counterparts: the accumulation order over the inner dimension is the
-//! same in `matmul` and `matvec`, every gate uses the same scalar
-//! expression, and prefix sharing only removes duplicated work — so
-//! `forward_batch` results can be compared to `forward` results with `==`.
-//! The test-suite asserts this per layer and end-to-end.
+//! The batched paths are **bit-identical** to per-sample evaluation: the
+//! accumulation order over the inner dimension is the same in `matmul` and
+//! `matvec`, every gate uses the same scalar expression, and prefix sharing
+//! only removes duplicated work. The per-sample reference passes live in
+//! the dev-only `netsyn-oracle` crate, whose tests assert this per layer
+//! and end-to-end with `==` on the bits.
 //!
 //! ## Batched training
 //!
@@ -71,20 +63,22 @@
 //! [`Linear::backward_batch`], [`Mlp::backward_batch`],
 //! [`Lstm::backward_batch`] and [`SequenceEncoder::backward_batch`], fed by
 //! the matching `forward_batch_train` cache types ([`MlpBatchCache`],
-//! [`LstmBatchCache`], [`SequenceEncoderBatchCache`]) — under the same
-//! contract: **gradients are bit-identical to looping the per-sample
-//! `backward` over the batch in input order.** Three design rules make
-//! that hold:
+//! [`LstmBatchCache`], [`SequenceEncoderBatchCache`]) over the time-major
+//! [`SequenceBatch`] → [`TimeMajorBatch`] layout, where all rows of time
+//! step `t` are one contiguous slab and the still-active sequences are a
+//! contiguous prefix of it — under the same contract: **gradients are
+//! bit-identical to looping the per-sample backward over the batch in input
+//! order.** Three design rules make that hold:
 //!
 //! * Input-gradient rows come from one GEMM per step/layer
 //!   ([`Matrix::matmul_slab_to`]) whose strictly `k`-ascending, unfused
 //!   accumulation is exactly the dense per-sample transposed-matvec chain.
 //! * Weight gradients accumulate through [`Matrix::add_outer_slab`] — a
 //!   whole batch of outer products in one blocked GEMM whose per-element
-//!   `r`-ascending chain replays the per-sample [`Matrix::add_outer`]
-//!   calls. The LSTM defers its per-(sequence, step) contributions and
-//!   lays them out flat in the reference visit order (sequences in input
-//!   order, steps descending) before the single accumulating GEMM.
+//!   `r`-ascending chain replays the per-sample rank-one updates. The LSTM
+//!   defers its per-(sequence, step) contributions and lays them out flat
+//!   in the reference visit order (sequences in input order, steps
+//!   descending) before the single accumulating GEMM.
 //! * Contributions to *different* parameters commute freely, so batched
 //!   stages may interleave updates across parameters — only the op order
 //!   *within* each parameter element matters, and that is preserved.
@@ -97,10 +91,9 @@
 //! the optimizer actually changes the weights.
 //!
 //! First-layer/gradient-only loops can use
-//! [`Linear::backward_params_only`] and the batched
-//! `backward_batch_params_only` to skip dead input-gradient work. The
-//! per-layer `batched_backward_is_bit_identical_to_per_sample` tests
-//! compare every gradient bit under both `NETSYN_SIMD` modes, and the
+//! [`Linear::backward_batch_params_only`] to skip dead input-gradient work.
+//! The oracle's per-layer `batched_backward_is_bit_identical_to_per_sample`
+//! tests compare every gradient bit under both `NETSYN_SIMD` modes, and the
 //! fitness trainer pins byte-identical checkpoints end-to-end.
 //!
 //! ## Why column-lane SIMD preserves the bit-identity contract
@@ -127,7 +120,7 @@
 //! ## Example
 //!
 //! ```
-//! use netsyn_nn::{Activation, Adam, Mlp, Parameterized};
+//! use netsyn_nn::{Activation, Adam, Matrix, Mlp, Parameterized};
 //! use netsyn_nn::loss::softmax_cross_entropy;
 //! use rand::SeedableRng;
 //!
@@ -135,10 +128,11 @@
 //! let mut model = Mlp::new(&[4, 16, 3], Activation::Relu, &mut rng);
 //! let mut optimizer = Adam::new(1e-2);
 //!
-//! // One training step on a single (input, class) pair.
-//! let (logits, cache) = model.forward(&[0.1, -0.2, 0.3, 0.4]);
-//! let (loss, grad) = softmax_cross_entropy(&logits, 2);
-//! model.backward(&cache, &grad);
+//! // One training step on a minibatch of one (input, class) pair.
+//! let x = Matrix::from_vec(1, 4, vec![0.1, -0.2, 0.3, 0.4]);
+//! let (logits, cache) = model.forward_batch_train(&x);
+//! let (loss, grad) = softmax_cross_entropy(logits.row(0), 2);
+//! model.backward_batch(&cache, &Matrix::from_vec(1, 3, grad));
 //! optimizer.step(&mut model.params_mut());
 //! model.zero_grad();
 //! assert!(loss.is_finite());
@@ -168,13 +162,13 @@ mod tensor;
 pub use activation::Activation;
 pub use batch::{SequenceBatch, SequenceTrie, TimeMajorBatch};
 pub use embedding::Embedding;
-pub use encoder::{SequenceEncoder, SequenceEncoderBatchCache, SequenceEncoderCache};
+pub use encoder::{SequenceEncoder, SequenceEncoderBatchCache};
 pub use error::NnError;
 pub use hash::{FxHashMap, FxHasher};
 pub use linear::Linear;
-pub use lstm::{Lstm, LstmBatchCache, LstmCache};
+pub use lstm::{Lstm, LstmBatchCache};
 pub use metrics::ConfusionMatrix;
-pub use mlp::{Mlp, MlpBatchCache, MlpCache};
+pub use mlp::{Mlp, MlpBatchCache};
 pub use optim::{Adam, Sgd};
 pub use param::{Param, Parameterized};
 pub use tensor::{vecops, Matrix};

@@ -7,9 +7,9 @@ use serde::{Deserialize, Serialize};
 
 /// A dense layer computing `y = W x + b`.
 ///
-/// The weight has shape `(out_dim, in_dim)`; inputs and outputs are plain
-/// vectors (the training loops in this reproduction operate sample-by-sample
-/// and accumulate gradients across a mini-batch before stepping).
+/// The weight has shape `(out_dim, in_dim)`; every pass takes one sample
+/// per matrix row. The per-sample reference passes these are certified
+/// against live in the dev-only `netsyn-oracle` crate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Linear {
     weight: Param,
@@ -54,27 +54,12 @@ impl Linear {
         self.weight.value.rows()
     }
 
-    /// Forward pass: `W x + b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != in_dim()`.
-    #[must_use]
-    pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.in_dim(), "linear forward dimension mismatch");
-        let mut y = self.weight.value.matvec(x);
-        for (yi, &bi) in y.iter_mut().zip(self.bias.value.row(0).iter()) {
-            *yi += bi;
-        }
-        y
-    }
-
     /// Batched forward pass: one input per row of `x` (shape
     /// `batch x in_dim`), producing `batch x out_dim` outputs in one matrix
     /// product instead of `batch` small GEMVs. The product runs the
     /// column-lane SIMD kernel and the bias broadcast is lane-vectorized;
     /// both keep the scalar per-element op order, so per row, results are
-    /// bit-identical to [`Linear::forward`].
+    /// bit-identical to the per-sample `W.matvec(x) + b`.
     ///
     /// # Panics
     ///
@@ -107,50 +92,15 @@ impl Linear {
         out.add_row_broadcast(self.bias.value.row(0));
     }
 
-    /// Backward pass. Accumulates parameter gradients and returns the
-    /// gradient with respect to the input.
-    ///
-    /// `x` must be the same input that produced the forward output whose
-    /// upstream gradient is `grad_out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches.
-    pub fn backward(&mut self, x: &[f32], grad_out: &[f32]) -> Vec<f32> {
-        self.backward_params_only(x, grad_out);
-        self.weight.value.matvec_transposed(grad_out)
-    }
-
-    /// [`Linear::backward`] without the input-gradient computation: for the
-    /// first layer of a network (or gradient-only training loops) the
-    /// gradient with respect to `x` is dead, and computing it builds and
-    /// drops an `in_dim`-sized `Vec` per sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches.
-    pub fn backward_params_only(&mut self, x: &[f32], grad_out: &[f32]) {
-        assert_eq!(x.len(), self.in_dim(), "linear backward input mismatch");
-        assert_eq!(
-            grad_out.len(),
-            self.out_dim(),
-            "linear backward gradient mismatch"
-        );
-        self.weight.grad.add_outer(grad_out, x, 1.0);
-        for (g, &go) in self.bias.grad.row_mut(0).iter_mut().zip(grad_out.iter()) {
-            *g += go;
-        }
-    }
-
     /// Batched backward pass: row `r` of `x`/`grad_out` is one sample's
     /// input and upstream gradient. Accumulates parameter gradients for the
     /// whole batch and returns the per-row input gradients.
     ///
-    /// Gradients are **bit-identical** to looping [`Linear::backward`] over
-    /// the rows in order: the weight gradient accumulates through one
+    /// Gradients are **bit-identical** to looping the per-sample backward
+    /// over the rows in order: the weight gradient accumulates through one
     /// [`Matrix::add_outer_slab`] GEMM whose per-element row-ascending
-    /// chain is exactly the sequence of per-sample [`Matrix::add_outer`]
-    /// calls, and the input-gradient rows come from one
+    /// chain is exactly the sequence of per-sample rank-one updates, and
+    /// the input-gradient rows come from one
     /// `grad_out x W` GEMM whose `k`-ascending accumulation matches the
     /// per-sample `W^T g` transposed matvec. The batch-sized GEMMs keep
     /// their accumulators in registers across whole row blocks instead of
@@ -228,101 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_matches_hand_computation() {
-        let layer = simple_layer();
-        let y = layer.forward(&[1.0, 2.0, 3.0]);
-        // row0: 1*1 + 0*2 + (-1)*3 + 0.5 = -1.5
-        // row1: 2*1 + 1*2 + 0.5*3 - 0.5 = 5.0
-        assert_eq!(y, vec![-1.5, 5.0]);
-        assert_eq!(layer.in_dim(), 3);
-        assert_eq!(layer.out_dim(), 2);
-    }
-
-    #[test]
-    fn backward_accumulates_expected_gradients() {
-        let mut layer = simple_layer();
-        let x = [1.0, 2.0, 3.0];
-        let grad_out = [1.0, -1.0];
-        let grad_in = layer.backward(&x, &grad_out);
-        // dW = grad_out ⊗ x
-        assert_eq!(layer.weight.grad.data(), &[1.0, 2.0, 3.0, -1.0, -2.0, -3.0]);
-        assert_eq!(layer.bias.grad.data(), &[1.0, -1.0]);
-        // dx = W^T grad_out
-        assert_eq!(grad_in, vec![1.0 - 2.0, 0.0 - 1.0, -1.0 - 0.5]);
-    }
-
-    #[test]
-    fn gradients_accumulate_across_calls() {
-        let mut layer = simple_layer();
-        let x = [1.0, 0.0, 0.0];
-        layer.backward(&x, &[1.0, 0.0]);
-        layer.backward(&x, &[1.0, 0.0]);
-        assert_eq!(layer.weight.grad.get(0, 0), 2.0);
-        layer.zero_grad();
-        assert_eq!(layer.weight.grad.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn numerical_gradient_check() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let mut layer = Linear::new(4, 3, &mut rng);
-        let x: Vec<f32> = (0..4).map(|i| 0.3 * i as f32 - 0.5).collect();
-        // Scalar loss: sum of outputs squared / 2 so that dL/dy = y.
-        let y = layer.forward(&x);
-        let grad_out: Vec<f32> = y.clone();
-        layer.zero_grad();
-        let grad_in = layer.backward(&x, &grad_out);
-
-        let loss = |layer: &Linear, x: &[f32]| -> f32 {
-            layer.forward(x).iter().map(|&v| v * v * 0.5).sum()
-        };
-        let eps = 1e-2_f32;
-        // Check dL/dx numerically.
-        for i in 0..x.len() {
-            let mut xp = x.clone();
-            xp[i] += eps;
-            let mut xm = x.clone();
-            xm[i] -= eps;
-            let num = (loss(&layer, &xp) - loss(&layer, &xm)) / (2.0 * eps);
-            assert!(
-                (num - grad_in[i]).abs() < 1e-2,
-                "dx[{i}]: numerical {num} vs analytic {}",
-                grad_in[i]
-            );
-        }
-        // Check a few weight gradients numerically.
-        for (r, c) in [(0, 0), (1, 2), (2, 3)] {
-            let orig = layer.weight.value.get(r, c);
-            layer.weight.value.set(r, c, orig + eps);
-            let lp = loss(&layer, &x);
-            layer.weight.value.set(r, c, orig - eps);
-            let lm = loss(&layer, &x);
-            layer.weight.value.set(r, c, orig);
-            let num = (lp - lm) / (2.0 * eps);
-            let ana = layer.weight.grad.get(r, c);
-            assert!(
-                (num - ana).abs() < 1e-2,
-                "dW[{r},{c}]: numerical {num} vs analytic {ana}"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_forward_is_bit_identical_to_single() {
-        let mut rng = ChaCha8Rng::seed_from_u64(41);
-        let layer = Linear::new(13, 7, &mut rng);
-        let batch = Matrix::uniform(9, 13, 1.0, &mut rng);
-        let out = layer.forward_batch(&batch);
-        assert_eq!(out.shape(), (9, 7));
-        for r in 0..batch.rows() {
-            let single = layer.forward(batch.row(r));
-            for (a, b) in out.row(r).iter().zip(single.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn batched_forward_into_reuses_the_buffer() {
         let layer = simple_layer();
         let batch = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 0.0, 0.0, 0.0]);
@@ -334,68 +189,15 @@ mod tests {
     }
 
     #[test]
-    fn batched_backward_is_bit_identical_to_per_sample() {
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let reference_init = Linear::new(13, 7, &mut rng);
-        let mut reference = reference_init.clone();
-        let mut batched = reference_init;
-        let x = Matrix::uniform(9, 13, 1.0, &mut rng);
-        let mut grad_out = Matrix::uniform(9, 7, 1.0, &mut rng);
-        // Exact zeros exercise the dense (no zero-skip) kernel semantics.
-        grad_out.set(0, 0, 0.0);
-        grad_out.set(3, 5, 0.0);
-
-        let mut ref_grad_in = Vec::new();
-        for r in 0..x.rows() {
-            ref_grad_in.push(reference.backward(x.row(r), grad_out.row(r)));
-        }
-        let grad_in = batched.backward_batch(&x, &grad_out);
-        for (r, reference_row) in ref_grad_in.iter().enumerate() {
-            for (a, b) in grad_in.row(r).iter().zip(reference_row.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "grad-in row {r}");
-            }
-        }
-        for (pr, pb) in reference
-            .params_mut()
-            .iter()
-            .zip(batched.params_mut().iter())
-        {
-            for (a, b) in pb.grad.data().iter().zip(pr.grad.data().iter()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn params_only_backward_matches_full_backward() {
-        let mut rng = ChaCha8Rng::seed_from_u64(78);
-        let init = Linear::new(5, 4, &mut rng);
-        let mut full = init.clone();
-        let mut lean = init;
-        let x: Vec<f32> = (0..5).map(|i| 0.2 * i as f32 - 0.4).collect();
-        let g: Vec<f32> = (0..4).map(|i| 0.3 - 0.1 * i as f32).collect();
-        let _ = full.backward(&x, &g);
-        lean.backward_params_only(&x, &g);
-        for (pf, pl) in full.params_mut().iter().zip(lean.params_mut().iter()) {
-            assert_eq!(pf.grad, pl.grad);
-        }
-    }
-
-    #[test]
     fn batched_backward_numerical_gradient_check() {
         let mut rng = ChaCha8Rng::seed_from_u64(79);
         let mut layer = Linear::new(4, 3, &mut rng);
         let x = Matrix::uniform(6, 4, 0.8, &mut rng);
         // Batch loss: sum over rows of 0.5 ||W x_r + b||^2.
         let loss = |layer: &Linear, x: &Matrix| -> f32 {
+            let y = layer.forward_batch(x);
             (0..x.rows())
-                .map(|r| {
-                    layer
-                        .forward(x.row(r))
-                        .iter()
-                        .map(|&v| 0.5 * v * v)
-                        .sum::<f32>()
-                })
+                .map(|r| y.row(r).iter().map(|&v| 0.5 * v * v).sum::<f32>())
                 .sum()
         };
         let grad_out = layer.forward_batch(&x);
@@ -446,7 +248,7 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn forward_rejects_wrong_input_size() {
         let layer = simple_layer();
-        let _ = layer.forward(&[1.0]);
+        let _ = layer.forward_batch(&Matrix::zeros(1, 1));
     }
 
     #[test]

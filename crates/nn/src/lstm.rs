@@ -3,66 +3,16 @@
 //! The paper's fitness-function architecture (Figure 2) encodes each variable
 //! -length component (inputs, outputs, execution-trace values, per-example
 //! hidden vectors) with LSTM encoders whose final hidden state summarizes the
-//! sequence. This module provides exactly that: `forward` consumes a sequence
-//! of input vectors and returns the final hidden state plus a cache, and
-//! `backward` propagates a gradient on the final hidden state through time,
-//! accumulating parameter gradients and returning per-step input gradients.
+//! sequence. This module provides exactly that, batched: inference over a
+//! prefix-sharing [`SequenceTrie`], and a training forward/backward pair
+//! (full backpropagation through time) over a time-major minibatch.
 
-use crate::activation::{sigmoid, tanh};
 use crate::batch::{SequenceTrie, TimeMajorBatch};
 use crate::param::{Param, Parameterized};
 use crate::simd;
 use crate::tensor::{vecops, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// Cached activations of one LSTM time step (needed for BPTT).
-#[derive(Debug, Clone, PartialEq)]
-struct StepCache {
-    x: Vec<f32>,
-    h_prev: Vec<f32>,
-    c_prev: Vec<f32>,
-    i: Vec<f32>,
-    f: Vec<f32>,
-    g: Vec<f32>,
-    o: Vec<f32>,
-    c: Vec<f32>,
-    tanh_c: Vec<f32>,
-}
-
-/// Cache of a full forward pass over a sequence.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LstmCache {
-    steps: Vec<StepCache>,
-}
-
-impl LstmCache {
-    /// Number of time steps in the cached sequence.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether the cached sequence was empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Hidden state after each time step (h_1 .. h_T).
-    #[must_use]
-    pub fn hidden_states(&self) -> Vec<Vec<f32>> {
-        self.steps
-            .iter()
-            .map(|s| {
-                s.o.iter()
-                    .zip(s.tanh_c.iter())
-                    .map(|(&o, &tc)| o * tc)
-                    .collect()
-            })
-            .collect()
-    }
-}
 
 /// Cached activations of one batched LSTM time step (rows = sequences still
 /// active at that step, in slot order of the driving [`TimeMajorBatch`]).
@@ -142,113 +92,26 @@ impl Lstm {
         self.hidden_dim
     }
 
-    fn step(&self, x: &[f32], h_prev: &[f32], c_prev: &[f32]) -> StepCache {
-        let h = self.hidden_dim;
-        let mut z = self.w_ih.value.matvec(x);
-        vecops::add_assign(&mut z, &self.w_hh.value.matvec(h_prev));
-        vecops::add_assign(&mut z, self.bias.value.row(0));
-        let i: Vec<f32> = z[0..h].iter().map(|&v| sigmoid(v)).collect();
-        let f: Vec<f32> = z[h..2 * h].iter().map(|&v| sigmoid(v)).collect();
-        let g: Vec<f32> = z[2 * h..3 * h].iter().map(|&v| tanh(v)).collect();
-        let o: Vec<f32> = z[3 * h..4 * h].iter().map(|&v| sigmoid(v)).collect();
-        let c: Vec<f32> = (0..h).map(|j| f[j] * c_prev[j] + i[j] * g[j]).collect();
-        let tanh_c: Vec<f32> = c.iter().map(|&v| tanh(v)).collect();
-        StepCache {
-            x: x.to_vec(),
-            h_prev: h_prev.to_vec(),
-            c_prev: c_prev.to_vec(),
-            i,
-            f,
-            g,
-            o,
-            c,
-            tanh_c,
-        }
-    }
-
-    /// Runs the LSTM over `inputs`, returning the final hidden state and the
-    /// cache required for [`Lstm::backward`]. An empty sequence yields the
-    /// all-zero hidden state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input vector does not have dimension `input_dim`.
+    /// Input-to-gates weight, `4 * hidden_dim x input_dim`, gate blocks in
+    /// PyTorch order `i, f, g, o`.
     #[must_use]
-    pub fn forward(&self, inputs: &[Vec<f32>]) -> (Vec<f32>, LstmCache) {
-        let mut h = vec![0.0; self.hidden_dim];
-        let mut c = vec![0.0; self.hidden_dim];
-        let mut cache = LstmCache::default();
-        for x in inputs {
-            assert_eq!(x.len(), self.input_dim, "lstm input dimension mismatch");
-            let step = self.step(x, &h, &c);
-            h = step
-                .o
-                .iter()
-                .zip(step.tanh_c.iter())
-                .map(|(&o, &tc)| o * tc)
-                .collect();
-            c = step.c.clone();
-            cache.steps.push(step);
-        }
-        (h, cache)
+    pub fn w_ih(&self) -> &Matrix {
+        &self.w_ih.value
     }
 
-    /// Batched inference over a pre-packed [`TimeMajorBatch`].
-    ///
-    /// The layout sorts sequences by length (longest first, ties in input
-    /// order) so that at each time step the still-active sequences form a
-    /// contiguous prefix *and* that step's input rows are one contiguous
-    /// slab — each step computes the four gates for the whole prefix with
-    /// two matrix products ([`Matrix::matmul_slab_into`] on the slab, no
-    /// per-step row gather) instead of `2 x batch` GEMVs. Results are
-    /// bit-identical to calling [`Lstm::forward`] per sequence; empty
-    /// sequences yield the all-zero hidden state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch's row dimension is not `input_dim` (empty batches
-    /// are accepted regardless of their dimension).
+    /// Hidden-to-gates weight, `4 * hidden_dim x hidden_dim`.
     #[must_use]
-    pub fn forward_batch_time_major(&self, batch: &TimeMajorBatch) -> Vec<Vec<f32>> {
-        let h_dim = self.hidden_dim;
-        let mut finals = vec![vec![0.0; h_dim]; batch.num_sequences()];
-        if batch.max_len() == 0 {
-            return finals;
-        }
-        assert_eq!(batch.dim(), self.input_dim, "lstm input dimension mismatch");
-
-        // The transposed weights every step's matmuls consume are memoized
-        // on the parameters (`Param::transposed`), valid until the next
-        // optimizer step.
-        let w_ih_t = self.w_ih.transposed();
-        let w_hh_t = self.w_hh.transposed();
-
-        let mut active = batch.active_rows(0);
-        let mut h_mat = Matrix::zeros(active, h_dim);
-        let mut c_mat = Matrix::zeros(active, h_dim);
-        let mut zx = Matrix::zeros(0, 0);
-        let mut zh = Matrix::zeros(0, 0);
-        for t in 0..batch.max_len() {
-            // Sequences shorter than t + 1 drop out of the active prefix;
-            // their hidden state is final.
-            let still_active = batch.active_rows(t);
-            for slot in still_active..active {
-                finals[batch.sequence_for_slot(slot)] = h_mat.row(slot).to_vec();
-            }
-            active = still_active;
-            h_mat.truncate_rows(active);
-            c_mat.truncate_rows(active);
-            w_ih_t.matmul_slab_into(batch.step_rows(t), active, self.input_dim, &mut zx);
-            h_mat.matmul_into(&w_hh_t, &mut zh);
-            self.batched_gate_pass(&zx, &zh, &mut c_mat, &mut h_mat, active);
-        }
-        for slot in 0..active {
-            finals[batch.sequence_for_slot(slot)] = h_mat.row(slot).to_vec();
-        }
-        finals
+    pub fn w_hh(&self) -> &Matrix {
+        &self.w_hh.value
     }
 
-    /// The batched gate pass shared by every batch-inference path: given the
+    /// Gate bias, a `1 x 4 * hidden_dim` row vector.
+    #[must_use]
+    pub fn bias(&self) -> &Matrix {
+        &self.bias.value
+    }
+
+    /// The batched gate pass of the inference path: given the
     /// pre-activations `zx` and `zh` for `active` rows, updates `c_mat`
     /// (holding each row's previous cell state) to the new cell state and
     /// writes the new hidden state into `h_mat`.
@@ -258,7 +121,7 @@ impl Lstm {
     /// `h = o * tanh(c)`. Both sweeps run through the lane-vectorized
     /// [`simd::lstm_gate_c`]/[`simd::lstm_gate_h`] kernels, whose
     /// transcendentals are bitwise libm-compatible and whose op order is
-    /// `z = (x W_ih^T + h W_hh^T) + bias` — exactly [`Lstm::step`] — so
+    /// `z = (x W_ih^T + h W_hh^T) + bias` — exactly the per-sample step — so
     /// results stay bit-identical however the work is split or vectorized.
     fn batched_gate_pass(
         &self,
@@ -334,10 +197,12 @@ impl Lstm {
     ///
     /// An LSTM state is a function of the consumed prefix alone, and every
     /// node's step uses the same matmul row semantics and gate expressions
-    /// as [`Lstm::forward`], so results are bit-identical to per-sequence
-    /// calls — the trie only removes duplicated work (~30% of the fitness
-    /// network's trace-value encoding steps in a GA population batch).
-    /// Empty sequences yield the all-zero hidden state.
+    /// as the per-sample step, so results are bit-identical to running each
+    /// sequence on its own — the trie only removes duplicated work (~30% of
+    /// the fitness network's trace-value encoding steps in a GA population
+    /// batch). Each depth's input rows feed the input projection straight
+    /// from the trie's flat storage. Empty sequences yield the all-zero
+    /// hidden state.
     ///
     /// # Panics
     ///
@@ -365,7 +230,6 @@ impl Lstm {
         let mut zh = Matrix::zeros(0, 0);
         for (depth, level) in trie.levels().iter().enumerate() {
             let nodes = level.parents.len();
-            let x_mat = Matrix::from_vec(nodes, self.input_dim, level.rows.clone());
             // Gather each node's previous (h, c) from its parent; depth 0
             // starts from the zero state.
             let mut h_prev = Matrix::zeros(nodes, h_dim);
@@ -377,7 +241,7 @@ impl Lstm {
                     c_mat.row_mut(slot).copy_from_slice(prev_c.row(parent));
                 }
             }
-            x_mat.matmul_into(&w_ih_t, &mut zx);
+            w_ih_t.matmul_slab_into(&level.rows, nodes, self.input_dim, &mut zx);
             if depth == 0 {
                 // Every depth-0 node starts from the zero state, so its zh
                 // row is the same vector: compute it once with the exact
@@ -405,63 +269,12 @@ impl Lstm {
         finals
     }
 
-    /// Backpropagates a gradient on the final hidden state through the cached
-    /// sequence. Parameter gradients are accumulated in place and the
-    /// gradient with respect to each input vector is returned (in sequence
-    /// order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_final_h` does not have dimension `hidden_dim`.
-    pub fn backward(&mut self, cache: &LstmCache, grad_final_h: &[f32]) -> Vec<Vec<f32>> {
-        assert_eq!(
-            grad_final_h.len(),
-            self.hidden_dim,
-            "lstm gradient dimension mismatch"
-        );
-        let h_dim = self.hidden_dim;
-        let mut dh = grad_final_h.to_vec();
-        let mut dc = vec![0.0; h_dim];
-        let mut input_grads = vec![Vec::new(); cache.steps.len()];
-        for (t, step) in cache.steps.iter().enumerate().rev() {
-            // h = o * tanh(c)
-            let do_: Vec<f32> = (0..h_dim).map(|j| dh[j] * step.tanh_c[j]).collect();
-            for j in 0..h_dim {
-                dc[j] += dh[j] * step.o[j] * (1.0 - step.tanh_c[j] * step.tanh_c[j]);
-            }
-            // c = f * c_prev + i * g
-            let di: Vec<f32> = (0..h_dim).map(|j| dc[j] * step.g[j]).collect();
-            let dg: Vec<f32> = (0..h_dim).map(|j| dc[j] * step.i[j]).collect();
-            let df: Vec<f32> = (0..h_dim).map(|j| dc[j] * step.c_prev[j]).collect();
-            let dc_prev: Vec<f32> = (0..h_dim).map(|j| dc[j] * step.f[j]).collect();
-            // Pre-activation gradients.
-            let mut dz = vec![0.0; 4 * h_dim];
-            for j in 0..h_dim {
-                dz[j] = di[j] * step.i[j] * (1.0 - step.i[j]);
-                dz[h_dim + j] = df[j] * step.f[j] * (1.0 - step.f[j]);
-                dz[2 * h_dim + j] = dg[j] * (1.0 - step.g[j] * step.g[j]);
-                dz[3 * h_dim + j] = do_[j] * step.o[j] * (1.0 - step.o[j]);
-            }
-            // Parameter gradients.
-            self.w_ih.grad.add_outer(&dz, &step.x, 1.0);
-            self.w_hh.grad.add_outer(&dz, &step.h_prev, 1.0);
-            for (b, &d) in self.bias.grad.row_mut(0).iter_mut().zip(dz.iter()) {
-                *b += d;
-            }
-            // Gradients flowing to the input and the previous step.
-            input_grads[t] = self.w_ih.value.matvec_transposed(&dz);
-            dh = self.w_hh.value.matvec_transposed(&dz);
-            dc = dc_prev;
-        }
-        input_grads
-    }
-
     /// Batched training forward pass over a [`TimeMajorBatch`]: returns
     /// every sequence's final hidden state (in input order) plus the cache
     /// [`Lstm::backward_batch`] needs.
     ///
     /// Per sequence, the finals — and every cached gate/cell activation —
-    /// are bit-identical to [`Lstm::forward`]: each step computes
+    /// are bit-identical to the per-sample step loop: each step computes
     /// `z = (x W_ih^T + h_prev W_hh^T) + bias` with the blocked batched
     /// matmul (same ascending-`k` accumulation as `matvec`), then applies
     /// the same lane-vectorized sigmoid/tanh sweeps and element-wise cell
@@ -569,7 +382,7 @@ impl Lstm {
     /// same time-major layout as `batch` (read rows via
     /// `TimeMajorBatch::row(t, slot_of(seq))`).
     ///
-    /// Gradients are **bit-identical** to looping [`Lstm::backward`] over
+    /// Gradients are **bit-identical** to looping the per-sample BPTT over
     /// the sequences in input order. The time recursion runs batched
     /// (t-descending, all active rows at once, each row evaluating the
     /// per-sample expressions verbatim), producing the same per-step gate
@@ -742,200 +555,6 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn forward_shapes_and_empty_sequence() {
-        let lstm = Lstm::new(3, 4, &mut rng());
-        assert_eq!(lstm.input_dim(), 3);
-        assert_eq!(lstm.hidden_dim(), 4);
-        let (h, cache) = lstm.forward(&[]);
-        assert_eq!(h, vec![0.0; 4]);
-        assert!(cache.is_empty());
-        let (h, cache) = lstm.forward(&sample_sequence(5, 3));
-        assert_eq!(h.len(), 4);
-        assert_eq!(cache.len(), 5);
-        assert_eq!(cache.hidden_states().len(), 5);
-        assert_eq!(cache.hidden_states()[4], h);
-    }
-
-    #[test]
-    fn hidden_state_is_bounded_by_one() {
-        // h = o * tanh(c) with o in (0,1) and |tanh| < 1.
-        let lstm = Lstm::new(2, 6, &mut rng());
-        let big_inputs: Vec<Vec<f32>> = (0..20).map(|_| vec![5.0, -5.0]).collect();
-        let (h, _) = lstm.forward(&big_inputs);
-        assert!(h.iter().all(|&v| v.abs() < 1.0));
-    }
-
-    #[test]
-    fn forward_is_deterministic_and_order_sensitive() {
-        let lstm = Lstm::new(3, 4, &mut rng());
-        let seq = sample_sequence(4, 3);
-        let (h1, _) = lstm.forward(&seq);
-        let (h2, _) = lstm.forward(&seq);
-        assert_eq!(h1, h2);
-        let mut reversed = seq.clone();
-        reversed.reverse();
-        let (h3, _) = lstm.forward(&reversed);
-        assert_ne!(h1, h3, "an LSTM should be sensitive to sequence order");
-    }
-
-    #[test]
-    fn backward_returns_one_gradient_per_input() {
-        let mut lstm = Lstm::new(3, 4, &mut rng());
-        let seq = sample_sequence(5, 3);
-        let (h, cache) = lstm.forward(&seq);
-        let grads = lstm.backward(&cache, &vec![1.0; h.len()]);
-        assert_eq!(grads.len(), 5);
-        assert!(grads.iter().all(|g| g.len() == 3));
-        // Backward on an empty cache is a no-op.
-        let (_, empty_cache) = lstm.forward(&[]);
-        let grads = lstm.backward(&empty_cache, &[0.0; 4]);
-        assert!(grads.is_empty());
-    }
-
-    #[test]
-    fn batched_forward_is_bit_identical_to_single() {
-        let lstm = Lstm::new(3, 5, &mut rng());
-        // Mixed lengths, duplicates, and an empty sequence.
-        let sequences: Vec<Vec<Vec<f32>>> = vec![
-            sample_sequence(4, 3),
-            sample_sequence(7, 3),
-            Vec::new(),
-            sample_sequence(1, 3),
-            sample_sequence(4, 3),
-            sample_sequence(2, 3),
-        ];
-        let batched = lstm.forward_batch_time_major(&time_major(&sequences, 3));
-        assert_eq!(batched.len(), sequences.len());
-        for (seq, batch_h) in sequences.iter().zip(batched.iter()) {
-            let (single_h, _) = lstm.forward(seq);
-            assert_eq!(batch_h.len(), single_h.len());
-            for (a, b) in batch_h.iter().zip(single_h.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "length {}", seq.len());
-            }
-        }
-    }
-
-    #[test]
-    fn trie_forward_is_bit_identical_to_single() {
-        let lstm = Lstm::new(3, 5, &mut rng());
-        // Sequences with shared prefixes, duplicates, and an empty one.
-        let base = sample_sequence(6, 3);
-        let mut shorter = base.clone();
-        shorter.truncate(3);
-        let mut diverging = base.clone();
-        diverging[4] = vec![9.0, -9.0, 0.5];
-        let sequences: Vec<Vec<Vec<f32>>> = vec![
-            base.clone(),
-            shorter,
-            diverging,
-            Vec::new(),
-            base.clone(),
-            sample_sequence(2, 3),
-        ];
-        // Key steps by their position in a canonical list of distinct rows,
-        // mirroring how callers intern inputs before building the trie.
-        let mut distinct: Vec<&Vec<f32>> = Vec::new();
-        let mut trie = SequenceTrie::new(3);
-        for sequence in &sequences {
-            trie.begin_sequence();
-            for x in sequence {
-                let key = match distinct.iter().position(|d| *d == x) {
-                    Some(at) => at,
-                    None => {
-                        distinct.push(x);
-                        distinct.len() - 1
-                    }
-                } as u64;
-                if let Some(row) = trie.push_step(key) {
-                    row.copy_from_slice(x);
-                }
-            }
-        }
-        assert!(trie.node_count() < sequences.iter().map(Vec::len).sum::<usize>());
-        let batched = lstm.forward_batch_trie(&trie);
-        assert_eq!(batched.len(), sequences.len());
-        for (seq, batch_h) in sequences.iter().zip(batched.iter()) {
-            let (single_h, _) = lstm.forward(seq);
-            for (a, b) in batch_h.iter().zip(single_h.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "length {}", seq.len());
-            }
-        }
-        // An empty trie yields zero states without touching the weights.
-        let empty = SequenceTrie::new(7); // wrong dim: fine while empty
-        assert!(lstm.forward_batch_trie(&empty).is_empty());
-    }
-
-    #[test]
-    fn batched_forward_handles_degenerate_batches() {
-        let lstm = Lstm::new(2, 3, &mut rng());
-        let forward =
-            |sequences: &[Vec<Vec<f32>>]| lstm.forward_batch_time_major(&time_major(sequences, 2));
-        assert!(forward(&[]).is_empty());
-        let all_empty = forward(&[Vec::new(), Vec::new()]);
-        assert_eq!(all_empty, vec![vec![0.0; 3], vec![0.0; 3]]);
-        let one = forward(&[sample_sequence(5, 2)]);
-        let (single, _) = lstm.forward(&sample_sequence(5, 2));
-        assert_eq!(one[0], single);
-    }
-
-    /// Full numerical gradient check of the LSTM through time: parameters,
-    /// and inputs, on a small configuration.
-    #[test]
-    fn numerical_gradient_check() {
-        let mut lstm = Lstm::new(2, 3, &mut rng());
-        let seq = sample_sequence(4, 2);
-        // Loss = 0.5 * ||h_T||^2 so dL/dh_T = h_T.
-        let loss = |lstm: &Lstm, seq: &[Vec<f32>]| -> f32 {
-            let (h, _) = lstm.forward(seq);
-            h.iter().map(|&v| 0.5 * v * v).sum()
-        };
-        let (h, cache) = lstm.forward(&seq);
-        lstm.zero_grad();
-        let input_grads = lstm.backward(&cache, &h);
-        let eps = 1e-2_f32;
-
-        // Input gradients.
-        for t in 0..seq.len() {
-            for d in 0..2 {
-                let mut sp = seq.clone();
-                sp[t][d] += eps;
-                let mut sm = seq.clone();
-                sm[t][d] -= eps;
-                let num = (loss(&lstm, &sp) - loss(&lstm, &sm)) / (2.0 * eps);
-                let ana = input_grads[t][d];
-                assert!(
-                    (num - ana).abs() < 5e-3,
-                    "dx[{t}][{d}]: numerical {num} vs analytic {ana}"
-                );
-            }
-        }
-
-        // A sample of parameter gradients from each matrix.
-        let param_checks: Vec<(usize, usize, usize)> = vec![
-            (0, 0, 0),
-            (0, 5, 1),
-            (1, 2, 2),
-            (1, 11, 0),
-            (2, 0, 3),
-            (2, 0, 9),
-        ];
-        for (which, r, c) in param_checks {
-            let orig = lstm.params_mut()[which].value.get(r, c);
-            lstm.params_mut()[which].value.set(r, c, orig + eps);
-            let lp = loss(&lstm, &seq);
-            lstm.params_mut()[which].value.set(r, c, orig - eps);
-            let lm = loss(&lstm, &seq);
-            lstm.params_mut()[which].value.set(r, c, orig);
-            let ana = lstm.params_mut()[which].grad.get(r, c);
-            let num = (lp - lm) / (2.0 * eps);
-            assert!(
-                (num - ana).abs() < 5e-3,
-                "param {which} [{r},{c}]: numerical {num} vs analytic {ana}"
-            );
-        }
-    }
-
     fn time_major(sequences: &[Vec<Vec<f32>>], dim: usize) -> TimeMajorBatch {
         let rows: usize = sequences.iter().map(Vec::len).sum();
         let mut batch = SequenceBatch::with_capacity(dim, rows, sequences.len());
@@ -948,69 +567,31 @@ mod tests {
         TimeMajorBatch::from_batch(&batch)
     }
 
-    #[test]
-    fn batched_train_forward_is_bit_identical_to_single() {
-        let lstm = Lstm::new(3, 5, &mut rng());
-        let sequences: Vec<Vec<Vec<f32>>> = vec![
-            sample_sequence(4, 3),
-            sample_sequence(7, 3),
-            Vec::new(),
-            sample_sequence(1, 3),
-            sample_sequence(4, 3),
-        ];
-        let tm = time_major(&sequences, 3);
-        let (finals, cache) = lstm.forward_batch_train(&tm);
-        assert_eq!(cache.len(), 7);
-        assert!(!cache.is_empty());
-        for (seq, batch_h) in sequences.iter().zip(finals.iter()) {
-            let (single_h, _) = lstm.forward(seq);
-            for (a, b) in batch_h.iter().zip(single_h.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "length {}", seq.len());
-            }
-        }
-        // Degenerate batch: all sequences empty.
-        let (finals, cache) = lstm.forward_batch_train(&time_major(&[Vec::new()], 3));
-        assert_eq!(finals, vec![vec![0.0; 5]]);
-        assert!(cache.is_empty());
+    /// Final hidden states of `sequences` through the batched training
+    /// forward.
+    fn finals(lstm: &Lstm, sequences: &[Vec<Vec<f32>>]) -> Vec<Vec<f32>> {
+        lstm.forward_batch_train(&time_major(sequences, lstm.input_dim()))
+            .0
     }
 
     #[test]
-    fn batched_backward_is_bit_identical_to_per_sample() {
-        let init = Lstm::new(3, 5, &mut rng());
-        let mut reference = init.clone();
-        let mut batched = init;
-        let sequences: Vec<Vec<Vec<f32>>> = vec![
-            sample_sequence(4, 3),
-            sample_sequence(7, 3),
-            Vec::new(),
-            sample_sequence(1, 3),
-            sample_sequence(4, 3),
-            sample_sequence(2, 3),
-        ];
-        let tm = time_major(&sequences, 3);
-        let (finals, cache) = batched.forward_batch_train(&tm);
-        // dL/dh = h (loss 0.5||h||^2 per sequence).
-        let input_grads = batched.backward_batch(&tm, &cache, &finals);
+    fn hidden_state_is_bounded_by_one() {
+        // h = o * tanh(c) with o in (0,1) and |tanh| < 1.
+        let lstm = Lstm::new(2, 6, &mut rng());
+        let big_inputs: Vec<Vec<f32>> = (0..20).map(|_| vec![5.0, -5.0]).collect();
+        let h = &finals(&lstm, &[big_inputs])[0];
+        assert!(h.iter().all(|&v| v.abs() < 1.0));
+    }
 
-        for (s, seq) in sequences.iter().enumerate() {
-            let (h, sample_cache) = reference.forward(seq);
-            let ref_grads = reference.backward(&sample_cache, &h);
-            let slot = tm.slot_of(s);
-            for (t, ref_grad) in ref_grads.iter().enumerate() {
-                for (a, b) in input_grads.row(t, slot).iter().zip(ref_grad.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "sequence {s} step {t}");
-                }
-            }
-        }
-        for (pr, pb) in reference
-            .params_mut()
-            .iter()
-            .zip(batched.params_mut().iter())
-        {
-            for (a, b) in pb.grad.data().iter().zip(pr.grad.data().iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "parameter gradients");
-            }
-        }
+    #[test]
+    fn forward_is_deterministic_and_order_sensitive() {
+        let lstm = Lstm::new(3, 4, &mut rng());
+        let seq = sample_sequence(4, 3);
+        let mut reversed = seq.clone();
+        reversed.reverse();
+        let h = finals(&lstm, &[seq.clone(), seq, reversed]);
+        assert_eq!(h[0], h[1]);
+        assert_ne!(h[0], h[2], "an LSTM should be sensitive to sequence order");
     }
 
     #[test]
@@ -1021,12 +602,9 @@ mod tests {
         let tm = time_major(&sequences, 2);
         // Loss = sum over sequences of 0.5 * ||h_final||^2.
         let loss = |lstm: &Lstm, sequences: &[Vec<Vec<f32>>]| -> f32 {
-            sequences
+            finals(lstm, sequences)
                 .iter()
-                .map(|seq| {
-                    let (h, _) = lstm.forward(seq);
-                    h.iter().map(|&v| 0.5 * v * v).sum::<f32>()
-                })
+                .map(|h| h.iter().map(|&v| 0.5 * v * v).sum::<f32>())
                 .sum()
         };
         let (finals, cache) = lstm.forward_batch_train(&tm);

@@ -18,19 +18,8 @@ pub struct Mlp {
     activation: Activation,
 }
 
-/// Cached intermediate values of an [`Mlp::forward`] pass, needed by
-/// [`Mlp::backward`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MlpCache {
-    /// Input to each layer (length = number of layers).
-    layer_inputs: Vec<Vec<f32>>,
-    /// Pre-activation output of each layer (length = number of layers).
-    pre_activations: Vec<Vec<f32>>,
-}
-
 /// Cached intermediate values of an [`Mlp::forward_batch_train`] pass,
-/// needed by [`Mlp::backward_batch`] — the batched counterpart of
-/// [`MlpCache`], one matrix row per sample.
+/// needed by [`Mlp::backward_batch`], one matrix row per sample.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MlpBatchCache {
     /// Input to each layer (length = number of layers).
@@ -71,31 +60,6 @@ impl Mlp {
         self.layers.last().map_or(0, Linear::out_dim)
     }
 
-    /// Forward pass returning the output logits and the cache for backward.
-    #[must_use]
-    pub fn forward(&self, x: &[f32]) -> (Vec<f32>, MlpCache) {
-        let mut cache = MlpCache::default();
-        let mut current = x.to_vec();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            cache.layer_inputs.push(current.clone());
-            let pre = layer.forward(&current);
-            cache.pre_activations.push(pre.clone());
-            current = if i == last {
-                pre
-            } else {
-                self.activation.apply_slice(&pre)
-            };
-        }
-        (current, cache)
-    }
-
-    /// Convenience forward pass without keeping the cache.
-    #[must_use]
-    pub fn predict(&self, x: &[f32]) -> Vec<f32> {
-        self.forward(x).0
-    }
-
     /// Batched inference pass: one input per row of `x` (shape
     /// `batch x in_dim`), producing a `batch x out_dim` logit matrix. Each
     /// layer runs as a single matrix product over the whole batch, and the
@@ -103,7 +67,8 @@ impl Mlp {
     /// ([`Activation::apply_rows`]); no cache is kept, so this is
     /// inference-only.
     ///
-    /// Per row, results are bit-identical to [`Mlp::predict`].
+    /// Per row, results are bit-identical to the per-sample layer-by-layer
+    /// pass.
     ///
     /// # Panics
     ///
@@ -129,7 +94,7 @@ impl Mlp {
     /// Batched training forward pass: like [`Mlp::forward_batch`] but keeps
     /// every layer input and pre-activation matrix for
     /// [`Mlp::backward_batch`]. Per row, outputs (and cached values) are
-    /// bit-identical to [`Mlp::forward`].
+    /// bit-identical to the per-sample pass.
     ///
     /// # Panics
     ///
@@ -155,8 +120,8 @@ impl Mlp {
     /// gradient. Accumulates parameter gradients for the whole batch and
     /// returns per-row input gradients.
     ///
-    /// Gradients are **bit-identical** to looping [`Mlp::backward`] over the
-    /// samples in row order: every layer's weight/bias gradient accumulates
+    /// Gradients are **bit-identical** to looping the per-sample backward
+    /// over the samples in row order: every layer's weight/bias gradient accumulates
     /// its samples row-ascending through [`Linear::backward_batch`], which is
     /// the per-sample accumulation order — processing layers as batched
     /// stages only interleaves updates *across different parameters*, never
@@ -187,39 +152,22 @@ impl Mlp {
         grad
     }
 
-    /// Backward pass: accumulates parameter gradients and returns the
-    /// gradient with respect to the input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache does not correspond to this network.
-    pub fn backward(&mut self, cache: &MlpCache, grad_out: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            cache.layer_inputs.len(),
-            self.layers.len(),
-            "cache does not match network depth"
-        );
-        let last = self.layers.len() - 1;
-        let mut grad = grad_out.to_vec();
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            if i != last {
-                // Undo the hidden activation.
-                let pre = &cache.pre_activations[i];
-                grad = grad
-                    .iter()
-                    .zip(pre.iter())
-                    .map(|(&g, &z)| g * self.activation.derivative(z))
-                    .collect();
-            }
-            grad = layer.backward(&cache.layer_inputs[i], &grad);
-        }
-        grad
-    }
-
     /// Number of dense layers.
     #[must_use]
     pub fn depth(&self) -> usize {
         self.layers.len()
+    }
+
+    /// The dense layers, input side first.
+    #[must_use]
+    pub fn layers(&self) -> &[Linear] {
+        &self.layers
+    }
+
+    /// The hidden activation (the output layer has none).
+    #[must_use]
+    pub fn activation(&self) -> Activation {
+        self.activation
     }
 }
 
@@ -250,10 +198,13 @@ mod tests {
         assert_eq!(mlp.in_dim(), 6);
         assert_eq!(mlp.out_dim(), 3);
         assert_eq!(mlp.depth(), 2);
-        let (y, cache) = mlp.forward(&[0.1; 6]);
-        assert_eq!(y.len(), 3);
+        assert_eq!(mlp.layers().len(), 2);
+        assert_eq!(mlp.activation(), Activation::Tanh);
+        let x = Matrix::from_vec(1, 6, vec![0.1; 6]);
+        let (y, cache) = mlp.forward_batch_train(&x);
+        assert_eq!(y.shape(), (1, 3));
         assert_eq!(cache.layer_inputs.len(), 2);
-        assert_eq!(mlp.predict(&[0.1; 6]), y);
+        assert_eq!(mlp.forward_batch(&x), y);
     }
 
     #[test]
@@ -263,120 +214,15 @@ mod tests {
     }
 
     #[test]
-    fn batched_forward_is_bit_identical_to_single() {
-        for act in [Activation::Relu, Activation::Tanh, Activation::Sigmoid] {
-            let mut r = rng();
-            let mlp = Mlp::new(&[6, 12, 5, 3], act, &mut r);
-            let batch = Matrix::uniform(17, 6, 1.0, &mut r);
-            let out = mlp.forward_batch(&batch);
-            assert_eq!(out.shape(), (17, 3));
-            for row in 0..batch.rows() {
-                let single = mlp.predict(batch.row(row));
-                for (a, b) in out.row(row).iter().zip(single.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{act:?} row {row}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn numerical_gradient_check() {
-        let mut mlp = Mlp::new(&[4, 5, 3], Activation::Tanh, &mut rng());
-        let x: Vec<f32> = vec![0.2, -0.4, 0.8, -0.1];
-        let target = 1usize;
-        let loss_of = |mlp: &Mlp, x: &[f32]| -> f32 {
-            let (logits, _) = mlp.forward(x);
-            softmax_cross_entropy(&logits, target).0
-        };
-        let (logits, cache) = mlp.forward(&x);
-        let (_, grad_logits) = softmax_cross_entropy(&logits, target);
-        mlp.zero_grad();
-        let grad_in = mlp.backward(&cache, &grad_logits);
-
-        let eps = 1e-2_f32;
-        for i in 0..x.len() {
-            let mut xp = x.clone();
-            xp[i] += eps;
-            let mut xm = x.clone();
-            xm[i] -= eps;
-            let num = (loss_of(&mlp, &xp) - loss_of(&mlp, &xm)) / (2.0 * eps);
-            assert!(
-                (num - grad_in[i]).abs() < 5e-3,
-                "dx[{i}]: numerical {num} vs analytic {}",
-                grad_in[i]
-            );
-        }
-        // Check a handful of parameter gradients.
-        let checks = [(0usize, 0usize, 0usize), (1, 0, 1), (2, 2, 4), (3, 0, 2)];
-        for (which, r, c) in checks {
-            let orig = mlp.params_mut()[which].value.get(r, c);
-            mlp.params_mut()[which].value.set(r, c, orig + eps);
-            let lp = loss_of(&mlp, &x);
-            mlp.params_mut()[which].value.set(r, c, orig - eps);
-            let lm = loss_of(&mlp, &x);
-            mlp.params_mut()[which].value.set(r, c, orig);
-            let num = (lp - lm) / (2.0 * eps);
-            let ana = mlp.params_mut()[which].grad.get(r, c);
-            assert!(
-                (num - ana).abs() < 5e-3,
-                "param {which} [{r},{c}]: numerical {num} vs analytic {ana}"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_backward_is_bit_identical_to_per_sample() {
-        // ReLU matters here: its backward produces exact zeros, exercising
-        // the dense (no zero-skip) gradient kernel semantics.
-        for act in [Activation::Relu, Activation::Tanh, Activation::Sigmoid] {
-            let mut r = rng();
-            let init = Mlp::new(&[6, 12, 5, 3], act, &mut r);
-            let mut reference = init.clone();
-            let mut batched = init;
-            let batch = Matrix::uniform(11, 6, 1.0, &mut r);
-
-            let (out, cache) = batched.forward_batch_train(&batch);
-            // Upstream gradient dL/dy = y (loss 0.5||y||^2 per row).
-            let grad_in = batched.backward_batch(&cache, &out);
-
-            let mut ref_grad_in = Vec::new();
-            for row in 0..batch.rows() {
-                let (y, sample_cache) = reference.forward(batch.row(row));
-                for (a, b) in out.row(row).iter().zip(y.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{act:?} forward row {row}");
-                }
-                ref_grad_in.push(reference.backward(&sample_cache, &y));
-            }
-            for (row, reference_row) in ref_grad_in.iter().enumerate() {
-                for (a, b) in grad_in.row(row).iter().zip(reference_row.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{act:?} grad-in row {row}");
-                }
-            }
-            for (pr, pb) in reference
-                .params_mut()
-                .iter()
-                .zip(batched.params_mut().iter())
-            {
-                for (a, b) in pb.grad.data().iter().zip(pr.grad.data().iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{act:?} param grads");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn batched_backward_numerical_gradient_check() {
         let mut r = rng();
         let mut mlp = Mlp::new(&[4, 6, 3], Activation::Tanh, &mut r);
         let batch = Matrix::uniform(5, 4, 0.7, &mut r);
         let loss = |mlp: &Mlp, x: &Matrix| -> f32 {
-            (0..x.rows())
-                .map(|row| {
-                    mlp.predict(x.row(row))
-                        .iter()
-                        .map(|&v| 0.5 * v * v)
-                        .sum::<f32>()
-                })
+            mlp.forward_batch(x)
+                .data()
+                .iter()
+                .map(|&v| 0.5 * v * v)
                 .sum()
         };
         let (out, cache) = mlp.forward_batch_train(&batch);
@@ -424,28 +270,28 @@ mod tests {
         let mut opt = Adam::new(0.01);
         // Three clusters at (2,0), (-2,0), (0,2).
         let centers = [(2.0_f32, 0.0_f32), (-2.0, 0.0), (0.0, 2.0)];
-        let data: Vec<([f32; 2], usize)> = (0..150)
+        let data: Vec<(Matrix, usize)> = (0..150)
             .map(|i| {
                 let class = i % 3;
                 let (cx, cy) = centers[class];
                 use rand::Rng;
                 let x = cx + r.gen_range(-0.5..0.5);
                 let y = cy + r.gen_range(-0.5..0.5);
-                ([x, y], class)
+                (Matrix::from_vec(1, 2, vec![x, y]), class)
             })
             .collect();
         for _epoch in 0..20 {
             for (x, t) in &data {
-                let (logits, cache) = mlp.forward(x);
-                let (_, grad) = softmax_cross_entropy(&logits, *t);
-                mlp.backward(&cache, &grad);
+                let (logits, cache) = mlp.forward_batch_train(x);
+                let (_, grad) = softmax_cross_entropy(logits.row(0), *t);
+                mlp.backward_batch(&cache, &Matrix::from_vec(1, 3, grad));
                 opt.step(&mut mlp.params_mut());
                 mlp.zero_grad();
             }
         }
         let correct = data
             .iter()
-            .filter(|(x, t)| crate::loss::argmax(&mlp.predict(x)) == *t)
+            .filter(|(x, t)| crate::loss::argmax(mlp.forward_batch(x).row(0)) == *t)
             .count();
         assert!(
             correct as f64 / data.len() as f64 > 0.9,

@@ -1054,7 +1054,8 @@ pub fn vsigmoid_slice(xs: &mut [f32]) {
 //
 // `zx`/`zh`/`bias` hold the four gate pre-activation blocks in PyTorch
 // order — `i` at `[0, h)`, `f` at `[h, 2h)`, `g` at `[2h, 3h)`, `o` at
-// `[3h, 4h)` with `h = c.len()` — exactly as `Lstm::step` lays them out.
+// `[3h, 4h)` with `h = c.len()` — exactly as the per-sample LSTM step lays
+// them out.
 // ---------------------------------------------------------------------------
 
 #[inline(always)]

@@ -244,33 +244,6 @@ impl Matrix {
             });
     }
 
-    /// Reference `O(n^3)` triple-loop product, kept as the ground truth the
-    /// blocked kernel is tested against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows`.
-    #[must_use]
-    pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                let row_out = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                let row_b = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in row_out.iter_mut().zip(row_b.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
     /// Matrix-vector product `self * v`.
     ///
     /// # Panics
@@ -282,39 +255,6 @@ impl Matrix {
         (0..self.rows)
             .map(|i| self.row(i).iter().zip(v.iter()).map(|(&a, &b)| a * b).sum())
             .collect()
-    }
-
-    /// Transposed matrix-vector product `self^T * v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != v.len()`.
-    #[must_use]
-    pub fn matvec_transposed(&self, v: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0; self.cols];
-        self.matvec_transposed_into(v, &mut out);
-        out
-    }
-
-    /// [`Matrix::matvec_transposed`] accumulating into a caller-provided
-    /// (zeroed) output slice — the allocation-free form the per-sample
-    /// backward passes use for input gradients. The accumulation is
-    /// **dense**: every row contributes in strictly ascending order with
-    /// separate mul/add roundings, lane-vectorized across the *output*
-    /// columns so every element keeps the scalar op order. Per output
-    /// element this is the exact `k`-ascending chain of
-    /// [`Matrix::matmul_slab_to`], which is what lets the batched backward
-    /// kernels replace a loop of these calls with one GEMM bit-identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != rows` or `out.len() != cols`.
-    pub fn matvec_transposed_into(&self, v: &[f32], out: &mut [f32]) {
-        assert_eq!(self.rows, v.len(), "matvec_transposed shape mismatch");
-        assert_eq!(self.cols, out.len(), "matvec_transposed output mismatch");
-        for (i, &vi) in v.iter().enumerate() {
-            vecops::axpy(out, vi, self.row(i));
-        }
     }
 
     /// Transpose.
@@ -418,40 +358,21 @@ impl Matrix {
         self.data.truncate(n * self.cols);
     }
 
-    /// Adds the outer product `alpha * u * v^T` to this matrix in place.
-    ///
-    /// The update is **dense** — every row receives its `(alpha * u[i]) *
-    /// v[j]` term (separate mul/add roundings, never fused) even when
-    /// `u[i]` is exactly zero, so a sequence of these calls is
-    /// bit-identical to one [`Matrix::add_outer_slab`] over the same rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u.len() != rows` or `v.len() != cols`.
-    pub fn add_outer(&mut self, u: &[f32], v: &[f32], alpha: f32) {
-        assert_eq!(u.len(), self.rows, "add_outer row mismatch");
-        assert_eq!(v.len(), self.cols, "add_outer col mismatch");
-        for (i, &ui) in u.iter().enumerate() {
-            let row = &mut self.data[i * self.cols..(i + 1) * self.cols];
-            vecops::axpy(row, alpha * ui, v);
-        }
-    }
-
     /// Accumulates a whole batch of outer products in one blocked GEMM:
     /// `self[i][j] += Σ_r u[r][i] * v[r][j]` where `u` is a row-major
     /// `k_rows x rows` slab and `v` a row-major `k_rows x cols` slab.
     ///
     /// Per parameter element the products accumulate strictly
     /// `r`-ascending with separate mul/add roundings on top of the
-    /// existing value — the exact op chain of calling
-    /// [`Matrix::add_outer`]`(u.row(r), v.row(r), 1.0)` for `r = 0, 1, …`
-    /// in order, so batched weight-gradient sweeps that lay their
-    /// per-step rows out in the reference visit order are bit-identical
-    /// to the per-sample loop by construction. The lane kernel keeps
-    /// eight column accumulators in registers across an `r` block (the
-    /// latency-bound per-call `axpy` round-trips every row through memory
-    /// instead), which is where the batched backward throughput comes
-    /// from.
+    /// existing value — the exact op chain of adding the rank-one updates
+    /// `u.row(r) ⊗ v.row(r)` one at a time for `r = 0, 1, …` in order (a
+    /// lane `axpy` per output row), so batched weight-gradient sweeps that
+    /// lay their per-step rows out in the reference visit order are
+    /// bit-identical to the per-sample loop by construction. The lane
+    /// kernel keeps eight column accumulators in registers across an `r`
+    /// block (the latency-bound per-row `axpy` round-trips every row
+    /// through memory instead), which is where the batched backward
+    /// throughput comes from.
     ///
     /// # Panics
     ///
@@ -753,33 +674,6 @@ impl fmt::Display for Matrix {
 
 /// Vector helpers shared by the layer implementations.
 pub mod vecops {
-    /// In-place `dst[j] += a * src[j]`, lane-vectorized eight elements at a
-    /// time with **separate** mul/add roundings (never fused). Elements are
-    /// independent, so the lane form is bit-identical to the scalar loop —
-    /// this is the row primitive under [`super::Matrix::add_outer`] and
-    /// [`super::Matrix::matvec_transposed`], whose dense per-row chains are
-    /// what the batched backward GEMMs
-    /// ([`super::Matrix::add_outer_slab`] /
-    /// [`super::Matrix::matmul_slab_to`]) replay element-for-element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is shorter than `dst`.
-    pub fn axpy(dst: &mut [f32], a: f32, src: &[f32]) {
-        use crate::simd::{F32x8, LANES};
-        let n = dst.len();
-        let main = n - n % LANES;
-        let av = F32x8::splat(a);
-        let mut j = 0;
-        while j < main {
-            (F32x8::load(&dst[j..]) + av * F32x8::load(&src[j..])).store(&mut dst[j..]);
-            j += LANES;
-        }
-        for (o, &s) in dst[main..].iter_mut().zip(src[main..n].iter()) {
-            *o += a * s;
-        }
-    }
-
     /// In-place `a += b`.
     pub fn add_assign(a: &mut [f32], b: &[f32]) {
         debug_assert_eq!(a.len(), b.len());
@@ -830,29 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matmul_matches_naive_reference() {
-        let mut rng = ChaCha8Rng::seed_from_u64(33);
-        // Cover shapes below and above the blocking and parallel thresholds,
-        // including non-multiples of the block sizes.
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (3, 5, 2),
-            (17, 65, 33),
-            (64, 64, 64),
-            (130, 70, 190),
-        ] {
-            let a = Matrix::uniform(m, k, 1.0, &mut rng);
-            let b = Matrix::uniform(k, n, 1.0, &mut rng);
-            let blocked = a.matmul(&b);
-            let naive = a.matmul_naive(&b);
-            assert_eq!(blocked.shape(), (m, n));
-            for (x, y) in blocked.data().iter().zip(naive.data().iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}x{n} mismatch");
-            }
-        }
-    }
-
-    #[test]
     fn blocked_matmul_matches_matvec_per_row() {
         // The batched inference path relies on X * W^T computing, per row,
         // exactly what W.matvec(x) computes — bit for bit.
@@ -877,12 +748,12 @@ mod tests {
         let b = Matrix::uniform(6, 3, 1.0, &mut rng);
         a.matmul_into(&b, &mut out);
         assert_eq!(out.shape(), (4, 3));
-        assert_eq!(out, a.matmul_naive(&b));
+        assert_eq!(out, a.matmul(&b));
         // Stale contents and the old shape must not leak into the result.
         let c = Matrix::uniform(2, 6, 1.0, &mut rng);
         c.matmul_into(&b, &mut out);
         assert_eq!(out.shape(), (2, 3));
-        assert_eq!(out, c.matmul_naive(&b));
+        assert_eq!(out, c.matmul(&b));
     }
 
     #[test]
@@ -903,13 +774,6 @@ mod tests {
         let c = Matrix::zeros(2, 4);
         let d = Matrix::zeros(4, 0);
         assert_eq!(c.matmul(&d).shape(), (2, 0));
-    }
-
-    #[test]
-    fn matvec_and_transposed_matvec() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
-        assert_eq!(a.matvec_transposed(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
     }
 
     #[test]
@@ -941,55 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn add_outer_accumulates_rank_one_update() {
-        let mut m = Matrix::zeros(2, 3);
-        m.add_outer(&[1.0, 2.0], &[1.0, 0.0, -1.0], 1.0);
-        assert_eq!(m.data(), &[1.0, 0.0, -1.0, 2.0, 0.0, -2.0]);
-        m.add_outer(&[1.0, 2.0], &[1.0, 0.0, -1.0], -1.0);
-        assert_eq!(m.data(), &[0.0; 6]);
-    }
-
-    #[test]
-    fn add_outer_slab_is_bit_identical_to_sequential_add_outer() {
-        let mut rng = ChaCha8Rng::seed_from_u64(97);
-        // Sizes straddle the lane width, the 4-tile width and the `r`
-        // block: columns hit the wide-tile, single-lane and scalar-tail
-        // paths; 150 rows span three 64-row blocks.
-        for (m, n, k) in [(5, 37, 150), (12, 8, 3), (3, 2, 1), (4, 33, 0)] {
-            let mut reference = Matrix::uniform(m, n, 1.0, &mut rng);
-            let mut batched = reference.clone();
-            let mut u = Matrix::uniform(k.max(1), m, 1.0, &mut rng);
-            let v = Matrix::uniform(k.max(1), n, 1.0, &mut rng);
-            if k > 0 {
-                // Exact zeros exercise the dense (no-skip) semantics.
-                u.set(0, 0, 0.0);
-            }
-            for r in 0..k {
-                reference.add_outer(u.row(r), v.row(r), 1.0);
-            }
-            batched.add_outer_slab(&u.data()[..k * m], &v.data()[..k * n], k);
-            for (a, b) in batched.data().iter().zip(reference.data().iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "({m}x{n}, k={k})");
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_slab_to_is_bit_identical_to_matvec_transposed() {
-        let mut rng = ChaCha8Rng::seed_from_u64(98);
-        let w = Matrix::uniform(37, 21, 1.0, &mut rng);
-        let dz = Matrix::uniform(9, 37, 1.0, &mut rng);
-        let mut out = vec![f32::NAN; 9 * 21];
-        w.matmul_slab_to(dz.data(), 9, 37, &mut out);
-        for r in 0..9 {
-            let reference = w.matvec_transposed(dz.row(r));
-            for (a, b) in out[r * 21..(r + 1) * 21].iter().zip(reference.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "row {r}");
-            }
-        }
-    }
-
-    #[test]
     fn random_initializers_are_bounded_and_deterministic() {
         let mut r1 = ChaCha8Rng::seed_from_u64(1);
         let mut r2 = ChaCha8Rng::seed_from_u64(1);
@@ -1008,8 +823,6 @@ mod tests {
         let mut a = vec![1.0, 1.0];
         add_assign(&mut a, &[2.0, 3.0]);
         assert_eq!(a, vec![3.0, 4.0]);
-        axpy(&mut a, 2.0, &[1.0, -1.0]);
-        assert_eq!(a, vec![5.0, 2.0]);
     }
 
     #[test]

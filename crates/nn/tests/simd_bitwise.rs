@@ -9,7 +9,6 @@
 //! `cargo run --release -p netsyn-bench --bin simd_validate`.
 
 use netsyn_nn::simd::{self, scalar, F32x8, LANES};
-use netsyn_nn::Matrix;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -163,33 +162,6 @@ fn slice_kernels_match_scalar_libm_loops() {
         assert_eq!(tanh_buf[i].to_bits(), x.tanh().to_bits(), "tanh at {i}");
         let sig = 1.0 / (1.0 + (-x).exp());
         assert_eq!(sig_buf[i].to_bits(), sig.to_bits(), "sigmoid at {i}");
-    }
-}
-
-#[test]
-fn lane_matmul_is_bit_identical_to_naive_across_tile_shapes() {
-    // Shapes exercising every kernel path: the 4-tile stripe (n >= 32),
-    // the single-tile loop (8 <= n < 32), the scalar column tail
-    // (n % 8 != 0), sub-lane widths, and the parallel row split.
-    let mut rng = ChaCha8Rng::seed_from_u64(77);
-    for &(m, k, n) in &[
-        (1, 1, 1),
-        (5, 3, 7),
-        (4, 16, 8),
-        (9, 31, 20),
-        (7, 40, 37),
-        (16, 64, 96),
-        (33, 100, 41),
-        (128, 48, 130),
-        (130, 70, 190),
-    ] {
-        let a = Matrix::uniform(m, k, 1.0, &mut rng);
-        let b = Matrix::uniform(k, n, 1.0, &mut rng);
-        let lane = a.matmul(&b);
-        let naive = a.matmul_naive(&b);
-        for (x, y) in lane.data().iter().zip(naive.data().iter()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "shape {m}x{k}x{n}");
-        }
     }
 }
 

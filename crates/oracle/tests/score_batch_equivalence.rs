@@ -7,7 +7,7 @@
 //!
 //! The learned functions ship only the batched network pass (their `score`
 //! is a batch of one), so they are also pinned against the per-sample
-//! `FitnessNet::{predict, predict_spec}` reference oracle.
+//! `FitnessNetOracle::{predict, predict_spec}` passes.
 
 use netsyn_dsl::{Generator, GeneratorConfig, IoSpec, Program};
 use netsyn_fitness::dataset::{
@@ -20,6 +20,7 @@ use netsyn_fitness::{
     LearnedProbabilityModel, OracleFitness, ProbabilityFitness, TrainedFitnessModel,
 };
 use netsyn_nn::activation::{sigmoid, softmax};
+use netsyn_oracle::FitnessNetOracle;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -92,7 +93,7 @@ fn assert_batch_matches_single<F: FitnessFunction + ?Sized>(
 }
 
 /// Asserts `fitness.score_batch` equals the expected class value of the
-/// per-sample `FitnessNet::predict` logits, for every candidate.
+/// per-sample [`FitnessNetOracle::predict`] logits, for every candidate.
 fn assert_batch_matches_oracle(fitness: &LearnedFitness, spec: &IoSpec, candidates: &[Program]) {
     let net = &fitness.model().net;
     let spec_encoding = encode_spec(net.encoding(), spec);
@@ -179,7 +180,7 @@ fn fp_score_batch_is_bit_identical() {
 
 /// `LearnedProbabilityModel::probability_map` (a batched pass over one
 /// spec-only candidate) reproduces the sigmoid of the per-sample
-/// `FitnessNet::predict_spec` oracle bitwise.
+/// [`FitnessNetOracle::predict_spec`] pass bitwise.
 #[test]
 fn probability_map_matches_the_per_sample_oracle() {
     let prob_model =

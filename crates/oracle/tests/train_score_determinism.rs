@@ -8,7 +8,7 @@
 //! byte-identical serialized [`GaOutcome`] across worker-pool sizes
 //! (`NETSYN_POOL_THREADS ∈ {1, 8}`). The pool size is fixed at first use per
 //! process, so the matrix re-runs this test binary as a subprocess per cell,
-//! following the pattern of `warm_cache_determinism.rs`.
+//! following the pattern of netsyn-ga's `warm_cache_determinism.rs`.
 //!
 //! CI runs this file under both `NETSYN_SIMD` modes, extending the guarantee
 //! to the vectorized and scalar kernel families alike.
@@ -16,11 +16,11 @@
 use netsyn_dsl::{Function, IntPredicate, IoSpec, MapOp, Program, Value};
 use netsyn_fitness::dataset::{generate_dataset, BalanceMetric, DatasetConfig};
 use netsyn_fitness::trainer::{
-    train_fitness_model, train_fitness_model_reference, FitnessModelKind, TrainedFitnessModel,
-    TrainerConfig,
+    train_fitness_model, FitnessModelKind, TrainedFitnessModel, TrainerConfig,
 };
 use netsyn_fitness::{FitnessCache, FitnessNetConfig, LearnedFitness};
 use netsyn_ga::{GaConfig, GaOutcome, GeneticEngine, NeighborhoodStrategy, SearchBudget};
+use netsyn_oracle::train_fitness_model_reference;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
